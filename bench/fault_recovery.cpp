@@ -159,12 +159,19 @@ int main(int argc, char** argv) {
                  ",level=" + std::to_string(level));
       mp::RunOptions faulty;
       faulty.fault_plan = &plan;
+      core::RecoveryControls recovery;
+      recovery.policy = policy;
       core::RecoveryReport report;
       const double recovery_s = wall_seconds([&] {
         report = core::ScalParC::fit_with_recovery(
-            training, ranks, ckpt_controls, mp::CostModel::zero(), faulty, 3,
-            policy);
+            training, ranks, ckpt_controls, recovery, mp::CostModel::zero(),
+            faulty);
       });
+      if (report.outcome != core::RecoveryOutcome::kCompleted) {
+        std::printf("ERROR: recovery at level %d ended %s\n", level,
+                    core::to_string(report.outcome));
+        return 1;
+      }
       if (tree_bytes(report.fit.tree) != expected) {
         std::printf("ERROR: %s recovery at level %d diverged from baseline\n",
                     policy == core::RecoveryPolicy::kShrink ? "shrink"

@@ -1,13 +1,13 @@
 // Per-level communication structure across split modes.
 //
-// Two axes in one document. First, fused vs unfused collectives under the
-// exact engine: ScalParC's split determination issues one collective per
-// attribute list per level; the fused CollectiveBatch path packs them into
-// O(1) rounds per level (see DESIGN.md, "Collective fusion"). Second, the
-// split-mode sweep (exact | histogram | voting): the histogram engine merges
-// fixed-width class histograms instead of moving node-table traffic, so its
-// per-level bytes are O(attributes x bins x classes) — independent of the
-// training-set size — where the exact engine's are O(N/p). Every mode is
+// Two claims in one document. First, the exact engine's split determination
+// packs every attribute list's collectives into O(1) CollectiveBatch rounds
+// per level (see DESIGN.md, "Collective fusion"), so each exact level stays
+// under a fixed collective-call bound whatever the attribute count. Second,
+// the split-mode sweep (exact | histogram | voting): the histogram engine
+// merges fixed-width class histograms instead of moving node-table traffic,
+// so its per-level bytes are O(attributes x bins x classes) — independent of
+// the training-set size — where the exact engine's are O(N/p). Every mode is
 // fitted at two record scales (N and 2N) so the flatness claim is checkable
 // from the document itself, and the quantized modes record their
 // winner-attribute agreement and holdout-accuracy delta against the exact
@@ -20,11 +20,11 @@
 //
 // --out writes the machine-readable JSON document; --validate re-parses a
 // document (the one just written, or any existing one) and checks its
-// schema plus the headline claims — fused modeled vtime <= unfused at every
-// measured processor count, and histogram-mode first-level bytes flat in
-// the record count while the exact engine's grow with it — exiting non-zero
-// on violation. The `perf` ctest label runs this at tiny scale as a smoke
-// test.
+// schema plus the headline claims — at most kMaxExactLevelCalls collective
+// calls in every exact-mode level, and histogram-mode first-level bytes
+// flat in the record count while the exact engine's grow with it — exiting
+// non-zero on violation. The `perf` ctest label runs this at tiny scale as
+// a smoke test.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -46,10 +46,16 @@ using scalparc::core::LevelStats;
 using scalparc::core::SplitMode;
 using scalparc::util::Json;
 
+// Collective calls one exact-mode level may enter: the packed FindSplit and
+// PerformSplit rounds plus the node-table exchanges, independent of the
+// number of attribute lists (committed runs enter 12-13; one collective per
+// list would need 35 at 7 attributes). The same bound as test_induction's
+// CollectiveFusion.FusedCollectiveCallsConstantInAttributeCount.
+constexpr std::int64_t kMaxExactLevelCalls = 16;
+
 struct RunRow {
   int procs = 0;
   std::string mode;  // "exact" | "histogram" | "voting"
-  bool fused = false;
   std::uint64_t records = 0;
   double total_vtime_s = 0.0;
   double findsplit_vtime_s = 0.0;
@@ -100,7 +106,6 @@ Json to_json(const RunRow& row) {
   Json run = Json::object();
   run["procs"] = row.procs;
   run["split_mode"] = row.mode;
-  run["fused"] = row.fused;
   run["records"] = row.records;
   run["total_vtime_s"] = row.total_vtime_s;
   run["findsplit_vtime_s"] = row.findsplit_vtime_s;
@@ -133,13 +138,6 @@ bool validate(const Json& doc) {
                  why.c_str());
     return false;
   };
-  struct Key {
-    int procs;
-    std::int64_t records;
-    bool operator<(const Key& o) const {
-      return procs != o.procs ? procs < o.procs : records < o.records;
-    }
-  };
   try {
     if (doc.at("bench").as_string() != "level_comm") {
       return complain("bench name is not 'level_comm'");
@@ -147,7 +145,7 @@ bool validate(const Json& doc) {
     if (doc.at("records").as_int() <= 0) return complain("records <= 0");
     const auto& runs = doc.at("runs").as_array();
     if (runs.empty()) return complain("runs is empty");
-    std::map<Key, double> fused_vtime, unfused_vtime;
+    bool exact_checked = false;
     // First-level max bytes per (procs, mode, records) — the raw material of
     // the flatness claim.
     std::map<int, std::map<std::string, std::map<std::int64_t, std::int64_t>>>
@@ -161,7 +159,6 @@ bool validate(const Json& doc) {
       }
       const std::int64_t records = run.at("records").as_int();
       if (records <= 0) return complain("run has records <= 0");
-      const bool fused = run.at("fused").as_bool();
       const double total = run.at("total_vtime_s").as_double();
       if (!(total > 0.0)) return complain("run has total_vtime_s <= 0");
       if (run.at("findsplit_vtime_s").as_double() < 0.0) {
@@ -192,11 +189,18 @@ bool validate(const Json& doc) {
             level.at("vtime_s").as_double() < 0.0) {
           return complain("level entry out of range");
         }
+        // Claim 1: every exact-mode level stays under the round bound.
+        const std::int64_t calls = level.at("collective_calls").as_int();
+        if (mode == "exact" && calls > kMaxExactLevelCalls) {
+          return complain("exact level enters " + std::to_string(calls) +
+                          " collective calls at p=" + std::to_string(procs) +
+                          " (bound " + std::to_string(kMaxExactLevelCalls) +
+                          ")");
+        }
       }
-      if (fused) {
-        level1_bytes[procs][mode][records] =
-            levels.front().at("max_bytes_sent_per_rank").as_int();
-      }
+      if (mode == "exact") exact_checked = true;
+      level1_bytes[procs][mode][records] =
+          levels.front().at("max_bytes_sent_per_rank").as_int();
       // details.metrics must decode as a metrics registry snapshot with the
       // comm.* family present (the vocabulary shared with --metrics-out);
       // quantized runs must additionally account their histogram traffic.
@@ -211,23 +215,8 @@ bool validate(const Json& doc) {
           return complain("quantized run lacks comm.histogram_bytes");
         }
       }
-      if (mode == "exact") {
-        (fused ? fused_vtime : unfused_vtime)[Key{procs, records}] = total;
-      }
     }
-    // Claim 1: wherever a (p, N) was measured both fused and unfused, the
-    // fused path's modeled end-to-end time is no worse.
-    bool compared = false;
-    for (const auto& [key, fused_total] : fused_vtime) {
-      const auto it = unfused_vtime.find(key);
-      if (it == unfused_vtime.end()) continue;
-      compared = true;
-      if (fused_total > it->second) {
-        return complain("fused vtime exceeds unfused at p=" +
-                        std::to_string(key.procs));
-      }
-    }
-    if (!compared) return complain("no fused/unfused pair present");
+    if (!exact_checked) return complain("no exact-mode run present");
     // Claim 2: histogram-mode first-level bytes are flat in the record count
     // while the exact engine's grow with it. Checked wherever a (p, mode)
     // was measured at two scales. The thresholds leave headroom for the
@@ -306,21 +295,17 @@ int main(int argc, char** argv) {
 
   bench::CsvWriter csv(
       args, "level_comm.csv",
-      "procs,mode,fused,records,level,active_nodes,active_records,"
+      "procs,mode,records,level,active_nodes,active_records,"
       "collective_calls,max_bytes_sent_per_rank,vtime_s");
 
   struct Variant {
     const char* mode;
-    bool fused;
     std::uint64_t scale;  // multiple of --records
   };
-  // Unfused only makes sense for the exact engine (the quantized engines
-  // always pack their histogram segments), and is measured at base scale
-  // only; the fused variants run at N and 2N for the flatness comparison.
+  // Every mode runs at N and 2N for the flatness comparison.
   const Variant variants[] = {
-      {"exact", true, 1},     {"exact", false, 1},   {"exact", true, 2},
-      {"histogram", true, 1}, {"histogram", true, 2},
-      {"voting", true, 1},    {"voting", true, 2},
+      {"exact", 1},     {"exact", 2},  {"histogram", 1},
+      {"histogram", 2}, {"voting", 1}, {"voting", 2},
   };
 
   std::vector<RunRow> rows;
@@ -334,7 +319,6 @@ int main(int argc, char** argv) {
       const std::uint64_t n = records * variant.scale;
       core::InductionControls controls = bench::paper_controls();
       controls.options.max_depth = depth;
-      controls.options.fuse_collectives = variant.fused;
       controls.collect_level_stats = true;
       const std::string mode = variant.mode;
       if (mode == "histogram") {
@@ -349,7 +333,6 @@ int main(int argc, char** argv) {
       RunRow row;
       row.procs = static_cast<int>(p);
       row.mode = mode;
-      row.fused = variant.fused;
       row.records = n;
       row.total_vtime_s = report.run.modeled_seconds;
       row.findsplit_vtime_s = report.stats.findsplit_seconds;
@@ -380,25 +363,25 @@ int main(int argc, char** argv) {
   // ---------------- stdout tables ------------------------------------------
   std::printf("per-level communication (records=%llu, depth cap %d):\n",
               static_cast<unsigned long long>(records), depth);
-  std::printf("%6s %10s %6s %8s %6s %7s %9s %11s %13s %11s\n", "procs",
-              "mode", "fused", "records", "level", "nodes", "records",
-              "coll calls", "max bytes/rk", "vtime(ms)");
+  std::printf("%6s %10s %8s %6s %7s %9s %11s %13s %11s\n", "procs", "mode",
+              "records", "level", "nodes", "records", "coll calls",
+              "max bytes/rk", "vtime(ms)");
   for (const RunRow& row : rows) {
     double prev_vtime = row.presort_vtime_s;
     for (const LevelStats& level : row.levels) {
       const double vtime_s = level.vtime_end - prev_vtime;
       prev_vtime = level.vtime_end;
       std::printf(
-          "%6d %10s %6s %8llu %6d %7lld %9lld %11lld %13llu %11.3f\n",
-          row.procs, row.mode.c_str(), row.fused ? "yes" : "no",
+          "%6d %10s %8llu %6d %7lld %9lld %11lld %13llu %11.3f\n",
+          row.procs, row.mode.c_str(),
           static_cast<unsigned long long>(row.records), level.level,
           static_cast<long long>(level.active_nodes),
           static_cast<long long>(level.active_records),
           static_cast<long long>(level.collective_calls),
           static_cast<unsigned long long>(level.max_bytes_sent_per_rank),
           vtime_s * 1e3);
-      csv.row("%d,%s,%d,%llu,%d,%lld,%lld,%lld,%llu,%.6f", row.procs,
-              row.mode.c_str(), row.fused ? 1 : 0,
+      csv.row("%d,%s,%llu,%d,%lld,%lld,%lld,%llu,%.6f", row.procs,
+              row.mode.c_str(),
               static_cast<unsigned long long>(row.records), level.level,
               static_cast<long long>(level.active_nodes),
               static_cast<long long>(level.active_records),
@@ -408,20 +391,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nfused vs unfused (exact engine), modeled end-to-end:\n");
-  std::printf("%6s %14s %14s %9s\n", "procs", "fused(ms)", "unfused(ms)",
-              "speedup");
-  for (const std::int64_t p : procs) {
-    double fused_total = 0.0, unfused_total = 0.0;
-    for (const RunRow& row : rows) {
-      if (row.procs != p || row.mode != "exact" || row.records != records) {
-        continue;
-      }
-      (row.fused ? fused_total : unfused_total) = row.total_vtime_s;
+  std::printf(
+      "\nexact engine, most collective calls in one level (bound %lld):\n",
+      static_cast<long long>(kMaxExactLevelCalls));
+  std::printf("%6s %8s %11s\n", "procs", "records", "coll calls");
+  for (const RunRow& row : rows) {
+    if (row.mode != "exact") continue;
+    std::int64_t most = 0;
+    for (const LevelStats& level : row.levels) {
+      most = std::max(most, level.collective_calls);
     }
-    std::printf("%6lld %14.3f %14.3f %8.2fx\n", static_cast<long long>(p),
-                fused_total * 1e3, unfused_total * 1e3,
-                unfused_total / fused_total);
+    std::printf("%6d %8llu %11lld\n", row.procs,
+                static_cast<unsigned long long>(row.records),
+                static_cast<long long>(most));
   }
 
   std::printf(
@@ -434,7 +416,7 @@ int main(int argc, char** argv) {
       std::uint64_t at_n = 0, at_2n = 0;
       double agreement = 1.0, delta = 0.0;
       for (const RunRow& row : rows) {
-        if (row.procs != p || row.mode != mode || !row.fused) continue;
+        if (row.procs != p || row.mode != mode) continue;
         const std::uint64_t bytes =
             row.levels.empty() ? 0
                                : row.levels.front().max_bytes_sent_per_rank;

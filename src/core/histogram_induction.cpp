@@ -281,7 +281,6 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     capability.fingerprint = fp;
     capability.total_records = static_cast<std::int64_t>(total_records);
     capability.num_attributes = static_cast<std::int32_t>(num_cont + num_cat);
-    capability.layout = options.layout == DataLayout::kSoA ? 1 : 0;
     (void)mp::join_handshake(comm, capability);
 
     result.tree = checkpoint_read_tree(level_dir, manifest);
@@ -848,6 +847,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     }
     stats.findsplit_seconds += comm.vtime() - level_start_vtime;
     const double split_phase_start_vtime = comm.vtime();
+    phase.reset();  // FindSplit II ends where PerformSplit I begins
     std::optional<PhaseSpan> split_span(std::in_place, comm, "performsplit_i",
                                         level_index, mm, level_records);
 

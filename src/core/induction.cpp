@@ -26,7 +26,7 @@
 #include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
 #include "mp/telemetry.hpp"
-#include "sort/rebalance.hpp"
+#include "sort/partition_util.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/arena.hpp"
 #include "util/trace.hpp"
@@ -58,29 +58,23 @@ struct RightmostOp {
   }
 };
 
-// Exactly one of `entries` (DataLayout::kAoS) or `cols` (kSoA) holds the
-// list; the layout flag chosen at induction start selects which, and every
-// consumer branches on it. `cols_next` is the SoA regroup double-buffer:
-// PerformSplitII writes the next level's layout into it and swaps, so its
+// `cols` holds the local fragment of one attribute list as separate
+// value/rid/class columns. `cols_next` is the regroup double-buffer:
+// PerformSplitII writes the next level's grouping into it and swaps, so its
 // vectors' capacity is reused and steady-state levels allocate nothing.
 struct ContList {
   int attribute = -1;
-  std::vector<ContinuousEntry> entries;
   ContinuousColumns cols;
   ContinuousColumns cols_next;
   std::vector<std::size_t> offsets;  // per-active-node segment bounds
   std::vector<std::int32_t> child;   // per-entry child slot (split phases)
   util::ScopedAllocation mem;
-  std::size_t size(bool soa) const {
-    return soa ? cols.size() : entries.size();
-  }
 };
 
 struct CatList {
   int attribute = -1;
   std::int32_t cardinality = 0;
   int coordinator = 0;  // rank that reduces/owns this attribute's matrices
-  std::vector<CategoricalEntry> entries;
   CategoricalColumns cols;
   CategoricalColumns cols_next;
   std::vector<std::size_t> offsets;
@@ -89,18 +83,7 @@ struct CatList {
   // Coordinator-only: this level's global count matrices, laid out
   // [active node][value][class].
   std::vector<std::int64_t> global_counts;
-  std::size_t size(bool soa) const {
-    return soa ? cols.size() : entries.size();
-  }
 };
-
-template <typename Entry>
-std::span<const Entry> segment_of(const std::vector<Entry>& entries,
-                                  const std::vector<std::size_t>& offsets,
-                                  std::size_t node) {
-  return std::span<const Entry>(entries.data() + offsets[node],
-                                offsets[node + 1] - offsets[node]);
-}
 
 }  // namespace
 
@@ -158,7 +141,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   // -------------------------------------------------------------------------
   // Build the local fragments of all attribute lists.
   // -------------------------------------------------------------------------
-  const bool soa = options.layout == DataLayout::kSoA;
   std::vector<ContList> cont_lists;
   std::vector<CatList> cat_lists;
   for (int a = 0; a < schema.num_attributes(); ++a) {
@@ -166,11 +148,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       ContList list;
       list.attribute = a;
       if (!resuming) {
-        if (soa) {
-          list.cols = data::build_continuous_columns(local_block, a, first_rid);
-        } else {
-          list.entries = data::build_continuous_list(local_block, a, first_rid);
-        }
+        list.cols = data::build_continuous_columns(local_block, a, first_rid);
       }
       cont_lists.push_back(std::move(list));
     } else {
@@ -179,11 +157,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       list.cardinality = schema.attribute(a).cardinality;
       list.coordinator = a % p;
       if (!resuming) {
-        if (soa) {
-          list.cols = data::build_categorical_columns(local_block, a, first_rid);
-        } else {
-          list.entries = data::build_categorical_list(local_block, a, first_rid);
-        }
+        list.cols = data::build_categorical_columns(local_block, a, first_rid);
       }
       cat_lists.push_back(std::move(list));
     }
@@ -198,27 +172,17 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     const std::vector<std::size_t> equal_sizes =
         sort::equal_partition_sizes(total_records, p);
     for (ContList& list : cont_lists) {
-      if (soa) {
-        list.cols = sort::sample_sort_columns(comm, std::move(list.cols));
-        list.cols = sort::rebalance_columns(comm, std::move(list.cols),
-                                            equal_sizes);
-        list.mem = util::ScopedAllocation(comm.meter(),
-                                          util::MemCategory::kAttributeLists,
-                                          list.cols.size_bytes());
-      } else {
-        list.entries = sort::sample_sort(comm, std::move(list.entries),
-                                         data::ContinuousEntryLess{});
-        list.entries = sort::rebalance(comm, std::move(list.entries), equal_sizes);
-        list.mem = util::ScopedAllocation(comm.meter(),
-                                          util::MemCategory::kAttributeLists,
-                                          list.entries.size() * sizeof(ContinuousEntry));
-      }
+      list.cols = sort::sample_sort_columns(comm, std::move(list.cols));
+      list.cols =
+          sort::rebalance_columns(comm, std::move(list.cols), equal_sizes);
+      list.mem = util::ScopedAllocation(comm.meter(),
+                                        util::MemCategory::kAttributeLists,
+                                        list.cols.size_bytes());
     }
     for (CatList& list : cat_lists) {
-      list.mem = util::ScopedAllocation(
-          comm.meter(), util::MemCategory::kAttributeLists,
-          soa ? list.cols.size_bytes()
-              : list.entries.size() * sizeof(CategoricalEntry));
+      list.mem = util::ScopedAllocation(comm.meter(),
+                                        util::MemCategory::kAttributeLists,
+                                        list.cols.size_bytes());
     }
     stats.presort_seconds = comm.vtime();
 
@@ -255,8 +219,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       active.push_back(std::move(node));
     }
 
-    for (ContList& list : cont_lists) list.offsets = {0, list.size(soa)};
-    for (CatList& list : cat_lists) list.offsets = {0, list.size(soa)};
+    for (ContList& list : cont_lists) list.offsets = {0, list.cols.size()};
+    for (CatList& list : cat_lists) list.offsets = {0, list.cols.size()};
   } else {
     // -----------------------------------------------------------------------
     // Resume: restore the last complete level checkpoint instead of deriving
@@ -317,7 +281,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     capability.total_records = static_cast<std::int64_t>(total_records);
     capability.num_attributes =
         static_cast<std::int32_t>(cont_lists.size() + cat_lists.size());
-    capability.layout = soa ? 1 : 0;
     (void)mp::join_handshake(comm, capability);
 
     result.tree = checkpoint_read_tree(level_dir, manifest);
@@ -354,41 +317,33 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         }
         return offsets;
       };
+      // Checkpoint sections are entry arrays (the on-disk format); convert
+      // to columns on the way in.
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         ContList& list = cont_lists[li];
         const std::string tag = "cont" + std::to_string(li);
-        // Checkpoint sections are always AoS entries (the layouts share one
-        // on-disk format); under SoA convert on the way in.
-        list.entries = reader.read_section<ContinuousEntry>(tag);
+        const std::vector<ContinuousEntry> entries =
+            reader.read_section<ContinuousEntry>(tag);
         list.offsets = restore_offsets(
-            reader.read_section<std::uint64_t>(tag + "_off"), list.entries.size());
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const ContinuousEntry>(list.entries));
-          list.entries.clear();
-          list.entries.shrink_to_fit();
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(ContinuousEntry));
+            reader.read_section<std::uint64_t>(tag + "_off"), entries.size());
+        list.cols = data::columns_from_entries(
+            std::span<const ContinuousEntry>(entries));
+        list.mem = util::ScopedAllocation(comm.meter(),
+                                          util::MemCategory::kAttributeLists,
+                                          list.cols.size_bytes());
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         CatList& list = cat_lists[li];
         const std::string tag = "cat" + std::to_string(li);
-        list.entries = reader.read_section<CategoricalEntry>(tag);
+        const std::vector<CategoricalEntry> entries =
+            reader.read_section<CategoricalEntry>(tag);
         list.offsets = restore_offsets(
-            reader.read_section<std::uint64_t>(tag + "_off"), list.entries.size());
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const CategoricalEntry>(list.entries));
-          list.entries.clear();
-          list.entries.shrink_to_fit();
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(CategoricalEntry));
+            reader.read_section<std::uint64_t>(tag + "_off"), entries.size());
+        list.cols = data::columns_from_entries(
+            std::span<const CategoricalEntry>(entries));
+        list.mem = util::ScopedAllocation(comm.meter(),
+                                          util::MemCategory::kAttributeLists,
+                                          list.cols.size_bytes());
       }
     } else {
       // Shrink/grow restore: repartition every list written by
@@ -406,16 +361,11 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                controls.checkpoint.rank_weights)
                          : std::span<const double>{});
         list.offsets = std::move(restored.offsets);
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const ContinuousEntry>(restored.entries));
-        } else {
-          list.entries = std::move(restored.entries);
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(ContinuousEntry));
+        list.cols = data::columns_from_entries(
+            std::span<const ContinuousEntry>(restored.entries));
+        list.mem = util::ScopedAllocation(comm.meter(),
+                                          util::MemCategory::kAttributeLists,
+                                          list.cols.size_bytes());
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         CatList& list = cat_lists[li];
@@ -427,16 +377,11 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                controls.checkpoint.rank_weights)
                          : std::span<const double>{});
         list.offsets = std::move(restored.offsets);
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const CategoricalEntry>(restored.entries));
-        } else {
-          list.entries = std::move(restored.entries);
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(CategoricalEntry));
+        list.cols = data::columns_from_entries(
+            std::span<const CategoricalEntry>(restored.entries));
+        list.mem = util::ScopedAllocation(comm.meter(),
+                                          util::MemCategory::kAttributeLists,
+                                          list.cols.size_bytes());
       }
     }
     level_index = latest;
@@ -513,7 +458,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   // Per-level working storage, hoisted out of the level loop so capacity is
   // reused across levels instead of reallocated (the sizes shrink with the
   // active record count, so the first level's allocation usually suffices).
-  const bool fused = options.fuse_collectives;
   mp::CollectiveBatch batch(comm);
   std::vector<std::int64_t> counts_scratch;
   std::vector<Boundary> boundary_scratch;
@@ -526,8 +470,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                          1);
   std::vector<std::uint64_t> ckpt_offsets_scratch;
   std::vector<std::int64_t> ckpt_active_scratch;
-  // Checkpoint sections stay AoS entries in both layouts; under SoA the
-  // columns are widened into these scratch buffers at write time.
+  // Checkpoint sections are entry arrays (the on-disk format); the columns
+  // are widened into these scratch buffers at write time.
   std::vector<ContinuousEntry> ckpt_cont_scratch;
   std::vector<CategoricalEntry> ckpt_cat_scratch;
   // Per-level arena for the variable-size regroup scratch (segment size /
@@ -572,26 +516,15 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       };
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         const std::string tag = "cont" + std::to_string(li);
-        if (soa) {
-          // The on-disk format is AoS entries under either layout, so
-          // checkpoint files are byte-identical across layouts and a
-          // checkpoint written under one resumes under the other.
-          data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
-          writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
-        } else {
-          writer.write_section<ContinuousEntry>(tag, cont_lists[li].entries);
-        }
+        data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
+        writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
         writer.write_section<std::uint64_t>(tag + "_off",
                                             offsets_u64(cont_lists[li].offsets));
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         const std::string tag = "cat" + std::to_string(li);
-        if (soa) {
-          data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
-          writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
-        } else {
-          writer.write_section<CategoricalEntry>(tag, cat_lists[li].entries);
-        }
+        data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
+        writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
         writer.write_section<std::uint64_t>(tag + "_off",
                                             offsets_u64(cat_lists[li].offsets));
       }
@@ -631,31 +564,21 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // ---------------- FindSplitI + FindSplitII -----------------------------
     std::vector<SplitCandidate> best(m);
 
-    // Local class counts per (node, class) for one continuous list. Under
-    // SoA the loop touches only the class stream (4B/record instead of the
-    // whole 24B entry).
+    // Local class counts per (node, class) for one continuous list. The
+    // loop touches only the class column (4B/record).
     const auto count_continuous = [&](const ContList& list,
                                       std::vector<std::int64_t>& local_counts) {
       local_counts.assign(m * static_cast<std::size_t>(c), 0);
-      if (soa) {
-        const std::int32_t* const cls = list.cols.cls.data();
-        for (std::size_t i = 0; i < m; ++i) {
-          std::int64_t* const row = local_counts.data() +
-                                    i * static_cast<std::size_t>(c);
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            ++row[static_cast<std::size_t>(cls[idx])];
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          for (const ContinuousEntry& e : segment_of(list.entries, list.offsets, i)) {
-            ++local_counts[i * static_cast<std::size_t>(c) +
-                           static_cast<std::size_t>(e.cls)];
-          }
+      const std::int32_t* const cls = list.cols.cls.data();
+      for (std::size_t i = 0; i < m; ++i) {
+        std::int64_t* const row =
+            local_counts.data() + i * static_cast<std::size_t>(c);
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          ++row[static_cast<std::size_t>(cls[idx])];
         }
       }
-      comm.add_work(static_cast<double>(list.size(soa)));
+      comm.add_work(static_cast<double>(list.cols.size()));
     };
     // Boundary values: the last attribute value of each node's segment on
     // any earlier rank.
@@ -664,9 +587,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       boundary.assign(m, Boundary{});
       for (std::size_t i = 0; i < m; ++i) {
         if (list.offsets[i + 1] == list.offsets[i]) continue;
-        const double last = soa ? list.cols.values[list.offsets[i + 1] - 1]
-                                : list.entries[list.offsets[i + 1] - 1].value;
-        boundary[i] = Boundary{last, 1};
+        boundary[i] = Boundary{list.cols.values[list.offsets[i + 1] - 1], 1};
       }
     };
     const auto scan_cont_list = [&](const ContList& list,
@@ -675,27 +596,17 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       for (std::size_t i = 0; i < m; ++i) {
         const auto below = below_start.subspan(i * static_cast<std::size_t>(c),
                                                static_cast<std::size_t>(c));
-        std::size_t work;
-        if (soa) {
-          IncrementalImpurityScanner scanner(active[i].class_totals, below,
-                                             options.criterion);
-          work = scan_continuous_columns(
-              list.cols, list.offsets[i], list.offsets[i + 1], scanner,
-              prev[i].has != 0, prev[i].value,
-              static_cast<std::int32_t>(list.attribute), best[i]);
-        } else {
-          BinaryImpurityScanner scanner(active[i].class_totals, below,
-                                        options.criterion);
-          work = scan_continuous_segment(
-              segment_of(list.entries, list.offsets, i), scanner,
-              prev[i].has != 0, prev[i].value,
-              static_cast<std::int32_t>(list.attribute), best[i]);
-        }
+        IncrementalImpurityScanner scanner(active[i].class_totals, below,
+                                           options.criterion);
+        const std::size_t work = scan_continuous_columns(
+            list.cols, list.offsets[i], list.offsets[i + 1], scanner,
+            prev[i].has != 0, prev[i].value,
+            static_cast<std::int32_t>(list.attribute), best[i]);
         comm.add_work(static_cast<double>(work));
       }
     };
 
-    if (fused) {
+    {
       // One packed exscan carries every continuous list's count matrices AND
       // boundary elements: 2A collectives fuse into 1.
       std::optional<PhaseSpan> phase(std::in_place, comm, "findsplit_i",
@@ -722,24 +633,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                        batch.view<std::int64_t>(cont_count_segs[li]),
                        batch.view<Boundary>(cont_boundary_segs[li]));
       }
-    } else {
-      for (ContList& list : cont_lists) {
-        std::optional<PhaseSpan> phase(std::in_place, comm, "findsplit_i",
-                                       level_index, mm, level_records);
-        count_continuous(list, counts_scratch);
-        util::ScopedAllocation counts_mem(
-            comm.meter(), util::MemCategory::kCountMatrices,
-            2 * counts_scratch.size() * sizeof(std::int64_t));
-        const std::vector<std::int64_t> below_start = mp::exscan_vec(
-            comm, std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
-            std::int64_t{0});
-        boundaries_of(list, boundary_scratch);
-        const std::vector<Boundary> prev = mp::exscan_vec(
-            comm, std::span<const Boundary>(boundary_scratch), RightmostOp{},
-            Boundary{});
-        phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
-        scan_cont_list(list, below_start, prev);
-      }
     }
 
     const bool all_ranks =
@@ -748,29 +641,19 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                        std::vector<std::int64_t>& local_counts) {
       const std::size_t card = static_cast<std::size_t>(list.cardinality);
       local_counts.assign(m * card * static_cast<std::size_t>(c), 0);
-      if (soa) {
-        const std::int32_t* const values = list.cols.values.data();
-        const std::int32_t* const cls = list.cols.cls.data();
-        for (std::size_t i = 0; i < m; ++i) {
-          std::int64_t* const block =
-              local_counts.data() + i * card * static_cast<std::size_t>(c);
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            ++block[static_cast<std::size_t>(values[idx]) *
-                        static_cast<std::size_t>(c) +
-                    static_cast<std::size_t>(cls[idx])];
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          for (const CategoricalEntry& e : segment_of(list.entries, list.offsets, i)) {
-            ++local_counts[(i * card + static_cast<std::size_t>(e.value)) *
-                               static_cast<std::size_t>(c) +
-                           static_cast<std::size_t>(e.cls)];
-          }
+      const std::int32_t* const values = list.cols.values.data();
+      const std::int32_t* const cls = list.cols.cls.data();
+      for (std::size_t i = 0; i < m; ++i) {
+        std::int64_t* const block =
+            local_counts.data() + i * card * static_cast<std::size_t>(c);
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          ++block[static_cast<std::size_t>(values[idx]) *
+                      static_cast<std::size_t>(c) +
+                  static_cast<std::size_t>(cls[idx])];
         }
       }
-      comm.add_work(static_cast<double>(list.size(soa)));
+      comm.add_work(static_cast<double>(list.cols.size()));
     };
     // Evaluates one categorical list's candidates from list.global_counts
     // (callable only where the global matrices live: coordinator or, with
@@ -790,7 +673,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     };
 
-    if (fused) {
+    {
       // One packed round makes every categorical list's count matrices
       // global: A collectives fuse into 1 (reduce_rooted carries each
       // matrix to its own coordinator; allreduce replicates them all).
@@ -822,30 +705,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
           list.global_counts.clear();
         }
       }
-    } else {
-      for (CatList& list : cat_lists) {
-        std::optional<PhaseSpan> phase(std::in_place, comm, "findsplit_i",
-                                       level_index, mm, level_records);
-        count_categorical(list, counts_scratch);
-        util::ScopedAllocation counts_mem(
-            comm.meter(), util::MemCategory::kCountMatrices,
-            counts_scratch.size() * sizeof(std::int64_t));
-        std::vector<std::int64_t> global =
-            all_ranks
-                ? mp::allreduce_vec(comm,
-                                    std::span<const std::int64_t>(counts_scratch),
-                                    mp::SumOp{})
-                : mp::reduce_vec(comm,
-                                 std::span<const std::int64_t>(counts_scratch),
-                                 mp::SumOp{}, list.coordinator);
-        phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
-        if (all_ranks || comm.rank() == list.coordinator) {
-          list.global_counts = std::move(global);
-          eval_categorical(list);
-        } else {
-          list.global_counts.clear();
-        }
-      }
     }
 
     {
@@ -869,8 +728,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       will_split[i] = best[i].gini < node_impurity - options.min_gini_improvement;
     }
 
-    // Categorical winners need the value -> child mapping, which only the
-    // attribute's coordinator can build (it holds the global matrix).
+    // Categorical winners need the value -> child mapping, which only a rank
+    // holding the global matrix can build: the attribute's coordinator, or
+    // every rank under kAllRanks.
     std::vector<std::vector<std::int32_t>> value_to_child(m);
     const auto winners_of = [&](const CatList& list) {
       std::vector<std::size_t> winner_nodes;
@@ -901,7 +761,28 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     };
 
-    if (fused && !all_ranks) {
+    const auto unpack_mappings = [&](const std::vector<std::size_t>& winners,
+                                     std::size_t card,
+                                     std::span<const std::int32_t> flat) {
+      for (std::size_t k = 0; k < winners.size(); ++k) {
+        value_to_child[winners[k]].assign(
+            flat.begin() + static_cast<std::ptrdiff_t>(k * card),
+            flat.begin() + static_cast<std::ptrdiff_t>((k + 1) * card));
+      }
+    };
+
+    if (all_ranks) {
+      // Every rank holds the global matrices, so it builds the mappings
+      // itself — no broadcast round.
+      for (const CatList& list : cat_lists) {
+        const std::vector<std::size_t> winner_nodes = winners_of(list);
+        if (winner_nodes.empty()) continue;
+        build_mappings(list, winner_nodes, mapping_scratch);
+        unpack_mappings(winner_nodes,
+                        static_cast<std::size_t>(list.cardinality),
+                        mapping_scratch);
+      }
+    } else {
       // All winning mappings travel in one rooted broadcast round. The
       // winner sets and cardinalities are globally known, so every rank can
       // contribute a correctly-sized placeholder for segments it doesn't own.
@@ -924,36 +805,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       batch.bcast_rooted();  // no-op when no node split on a categorical
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         if (winners[li].empty()) continue;
-        const std::size_t card =
-            static_cast<std::size_t>(cat_lists[li].cardinality);
-        const std::span<const std::int32_t> flat =
-            batch.view<std::int32_t>(map_segs[li]);
-        for (std::size_t k = 0; k < winners[li].size(); ++k) {
-          value_to_child[winners[li][k]].assign(
-              flat.begin() + static_cast<std::ptrdiff_t>(k * card),
-              flat.begin() + static_cast<std::ptrdiff_t>((k + 1) * card));
-        }
-      }
-    } else {
-      for (CatList& list : cat_lists) {
-        const std::vector<std::size_t> winner_nodes = winners_of(list);
-        if (winner_nodes.empty()) continue;
-        const std::size_t card = static_cast<std::size_t>(list.cardinality);
-        std::vector<std::int32_t> flat;
-        if (all_ranks || comm.rank() == list.coordinator) {
-          build_mappings(list, winner_nodes, flat);
-        }
-        // With the allreduce everybody already holds the mapping; otherwise
-        // the coordinator distributes it.
-        if (!all_ranks) mp::bcast(comm, flat, list.coordinator);
-        if (flat.size() != winner_nodes.size() * card) {
-          throw std::logic_error("induction: bad value_to_child broadcast");
-        }
-        for (std::size_t k = 0; k < winner_nodes.size(); ++k) {
-          value_to_child[winner_nodes[k]].assign(
-              flat.begin() + static_cast<std::ptrdiff_t>(k * card),
-              flat.begin() + static_cast<std::ptrdiff_t>((k + 1) * card));
-        }
+        unpack_mappings(winners[li],
+                        static_cast<std::size_t>(cat_lists[li].cardinality),
+                        batch.view<std::int32_t>(map_segs[li]));
       }
     }
 
@@ -983,87 +837,54 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     update_rids.clear();
     update_children.clear();
 
+    // Records the assigned slots of one node's segment [off, off + len):
+    // node-table updates plus local (node, child, class) counts.
+    const auto collect_assigned = [&](const auto& list, std::size_t i,
+                                      std::size_t off, std::size_t len) {
+      for (std::size_t k = off; k < off + len; ++k) {
+        update_rids.push_back(list.cols.rids[k]);
+        update_children.push_back(list.child[k]);
+        ++local_kid_counts[kid_offset[i] +
+                           static_cast<std::size_t>(list.child[k]) *
+                               static_cast<std::size_t>(c) +
+                           static_cast<std::size_t>(list.cols.cls[k])];
+      }
+      comm.add_work(static_cast<double>(len));
+    };
     for (ContList& list : cont_lists) {
-      list.child.assign(list.size(soa), -1);
+      list.child.assign(list.cols.size(), -1);
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute != list.attribute) continue;
         const std::size_t off = list.offsets[i];
         const std::size_t len = list.offsets[i + 1] - off;
-        std::span<std::int32_t> out(list.child.data() + off, len);
-        if (soa) {
-          assign_children_continuous(
-              std::span<const double>(list.cols.values.data() + off, len),
-              best[i].threshold, out);
-          for (std::size_t k = 0; k < len; ++k) {
-            update_rids.push_back(list.cols.rids[off + k]);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(list.cols.cls[off + k])];
-          }
-        } else {
-          const auto seg = segment_of(list.entries, list.offsets, i);
-          assign_children_continuous(seg, best[i].threshold, out);
-          for (std::size_t k = 0; k < seg.size(); ++k) {
-            update_rids.push_back(seg[k].rid);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(seg[k].cls)];
-          }
-        }
-        comm.add_work(static_cast<double>(len));
+        assign_children_continuous(
+            std::span<const double>(list.cols.values.data() + off, len),
+            best[i].threshold,
+            std::span<std::int32_t>(list.child.data() + off, len));
+        collect_assigned(list, i, off, len);
       }
     }
     for (CatList& list : cat_lists) {
-      list.child.assign(list.size(soa), -1);
+      list.child.assign(list.cols.size(), -1);
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute != list.attribute) continue;
         const std::size_t off = list.offsets[i];
         const std::size_t len = list.offsets[i + 1] - off;
-        std::span<std::int32_t> out(list.child.data() + off, len);
-        if (soa) {
-          assign_children_categorical(
-              std::span<const std::int32_t>(list.cols.values.data() + off, len),
-              value_to_child[i], out);
-          for (std::size_t k = 0; k < len; ++k) {
-            update_rids.push_back(list.cols.rids[off + k]);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(list.cols.cls[off + k])];
-          }
-        } else {
-          const auto seg = segment_of(list.entries, list.offsets, i);
-          assign_children_categorical(seg, value_to_child[i], out);
-          for (std::size_t k = 0; k < seg.size(); ++k) {
-            update_rids.push_back(seg[k].rid);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(seg[k].cls)];
-          }
-        }
-        comm.add_work(static_cast<double>(len));
+        assign_children_categorical(
+            std::span<const std::int32_t>(list.cols.values.data() + off, len),
+            value_to_child[i],
+            std::span<std::int32_t>(list.child.data() + off, len));
+        collect_assigned(list, i, off, len);
       }
     }
 
     std::vector<std::int64_t> global_kid_counts;
     if (!local_kid_counts.empty()) {
-      if (fused) {
-        batch.reset();
-        const std::size_t seg = batch.add<std::int64_t>(
-            std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-        batch.allreduce();
-        global_kid_counts = batch.take<std::int64_t>(seg);
-      } else {
-        global_kid_counts = mp::allreduce_vec(
-            comm, std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-      }
+      batch.reset();
+      const std::size_t seg = batch.add<std::int64_t>(
+          std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
+      batch.allreduce();
+      global_kid_counts = batch.take<std::int64_t>(seg);
     }
 
     // Create the children in the tree (identically on every rank) and build
@@ -1085,30 +906,21 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // ---------------- PerformSplitII ---------------------------------------
     // For every list: enquire children for segments whose node split on a
     // different attribute, then rebuild the list grouped by the next level's
-    // active nodes (dropping records that landed in leaves). On the fused
-    // path every list's enquiry travels in ONE node-table lookup per level;
-    // unfused issues one lookup (two all-to-all rounds) per list.
+    // active nodes (dropping records that landed in leaves). Every list's
+    // enquiry travels in ONE node-table lookup per level.
     const auto collect_enquiry = [&](const auto& list,
                                      std::vector<std::int64_t>& rids) {
-      using Entry = std::decay_t<decltype(list.entries[0])>;
       for (std::size_t i = 0; i < m; ++i) {
         // The splitting attribute's own list was assigned in PerformSplitI.
         if (!will_split[i] || best[i].attribute == list.attribute) continue;
-        if (soa) {
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            rids.push_back(list.cols.rids[idx]);
-          }
-        } else {
-          for (const Entry& e : segment_of(list.entries, list.offsets, i)) {
-            rids.push_back(e.rid);
-          }
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          rids.push_back(list.cols.rids[idx]);
         }
       }
     };
     const auto apply_and_regroup = [&](auto& list,
                                        std::span<const std::int32_t> answers) {
-      using Entry = std::decay_t<decltype(list.entries[0])>;
       std::size_t cursor = 0;
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute == list.attribute) continue;
@@ -1120,123 +932,77 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         throw std::logic_error("induction: enquiry answer count mismatch");
       }
 
-      const std::size_t old_size = list.size(soa);
+      const std::size_t old_size = list.cols.size();
 
-      // Stable grouped placement into the next level's layout. Under SoA
-      // the size/offset/cursor scratch comes from the level arena and the
+      // Stable grouped placement into the next level's grouping. The
+      // size/offset/cursor scratch comes from the level arena and the
       // records land in the cols_next double-buffer — no heap traffic once
       // capacities have warmed up.
-      if (soa) {
-        std::span<std::size_t> new_sizes =
-            level_arena.alloc_zeroed<std::size_t>(next_active.size());
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
-          }
+      std::span<std::size_t> new_sizes =
+          level_arena.alloc_zeroed<std::size_t>(next_active.size());
+      for (std::size_t i = 0; i < m; ++i) {
+        if (!will_split[i]) continue;
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          const int target =
+              child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
+          if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
         }
-        std::span<std::size_t> new_offsets =
-            level_arena.alloc<std::size_t>(next_active.size() + 1);
-        std::span<std::size_t> cursors =
-            level_arena.alloc<std::size_t>(next_active.size());
-        new_offsets[0] = 0;
-        for (std::size_t t = 0; t < next_active.size(); ++t) {
-          new_offsets[t + 1] = new_offsets[t] + new_sizes[t];
-          cursors[t] = new_offsets[t];
-        }
-        list.cols_next.resize(new_offsets.empty() ? 0 : new_offsets.back());
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) {
-              list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
-                                 list.cols, idx);
-            }
-          }
-        }
-        std::swap(list.cols, list.cols_next);
-        list.offsets.assign(new_offsets.begin(), new_offsets.end());
-        list.mem.resize(list.cols.size_bytes());
-      } else {
-        std::vector<std::size_t> new_sizes(next_active.size(), 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1]; ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
-          }
-        }
-        std::vector<std::size_t> new_offsets = sort::offsets_from_sizes(new_sizes);
-        std::vector<Entry> new_entries(new_offsets.back());
-        std::vector<std::size_t> cursors(new_offsets.begin(), new_offsets.end() - 1);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1]; ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) {
-              new_entries[cursors[static_cast<std::size_t>(target)]++] =
-                  list.entries[idx];
-            }
-          }
-        }
-        list.entries = std::move(new_entries);
-        list.offsets = std::move(new_offsets);
-        list.mem.resize(list.entries.size() * sizeof(Entry));
       }
+      std::span<std::size_t> new_offsets =
+          level_arena.alloc<std::size_t>(next_active.size() + 1);
+      std::span<std::size_t> cursors =
+          level_arena.alloc<std::size_t>(next_active.size());
+      new_offsets[0] = 0;
+      for (std::size_t t = 0; t < next_active.size(); ++t) {
+        new_offsets[t + 1] = new_offsets[t] + new_sizes[t];
+        cursors[t] = new_offsets[t];
+      }
+      list.cols_next.resize(new_offsets.back());
+      for (std::size_t i = 0; i < m; ++i) {
+        if (!will_split[i]) continue;
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          const int target =
+              child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
+          if (target >= 0) {
+            list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
+                               list.cols, idx);
+          }
+        }
+      }
+      std::swap(list.cols, list.cols_next);
+      list.offsets.assign(new_offsets.begin(), new_offsets.end());
+      list.mem.resize(list.cols.size_bytes());
       comm.add_work(static_cast<double>(old_size));
       list.child.clear();
       list.child.shrink_to_fit();
     };
 
-    if (fused) {
-      enquiry_scratch.clear();
-      std::size_t li = 0;
-      for (const ContList& list : cont_lists) {
-        enquiry_begin[li++] = enquiry_scratch.size();
-        collect_enquiry(list, enquiry_scratch);
-      }
-      for (const CatList& list : cat_lists) {
-        enquiry_begin[li++] = enquiry_scratch.size();
-        collect_enquiry(list, enquiry_scratch);
-      }
-      enquiry_begin[li] = enquiry_scratch.size();
-      split_span->set_bytes(static_cast<std::int64_t>(enquiry_scratch.size() *
-                                                      sizeof(std::int64_t)));
-      const std::vector<std::int32_t> answers =
-          lookup_assignments(enquiry_scratch);
-      const std::span<const std::int32_t> all(answers);
-      li = 0;
-      for (ContList& list : cont_lists) {
-        apply_and_regroup(list, all.subspan(enquiry_begin[li],
-                                            enquiry_begin[li + 1] -
-                                                enquiry_begin[li]));
-        ++li;
-      }
-      for (CatList& list : cat_lists) {
-        apply_and_regroup(list, all.subspan(enquiry_begin[li],
-                                            enquiry_begin[li + 1] -
-                                                enquiry_begin[li]));
-        ++li;
-      }
-    } else {
-      const auto rebuild = [&](auto& list) {
-        enquiry_scratch.clear();
-        collect_enquiry(list, enquiry_scratch);
-        const std::vector<std::int32_t> answers =
-            lookup_assignments(enquiry_scratch);
-        apply_and_regroup(list, answers);
-      };
-      for (ContList& list : cont_lists) rebuild(list);
-      for (CatList& list : cat_lists) rebuild(list);
+    enquiry_scratch.clear();
+    std::size_t li = 0;
+    for (const ContList& list : cont_lists) {
+      enquiry_begin[li++] = enquiry_scratch.size();
+      collect_enquiry(list, enquiry_scratch);
     }
+    for (const CatList& list : cat_lists) {
+      enquiry_begin[li++] = enquiry_scratch.size();
+      collect_enquiry(list, enquiry_scratch);
+    }
+    enquiry_begin[li] = enquiry_scratch.size();
+    split_span->set_bytes(static_cast<std::int64_t>(enquiry_scratch.size() *
+                                                    sizeof(std::int64_t)));
+    const std::vector<std::int32_t> answers =
+        lookup_assignments(enquiry_scratch);
+    const std::span<const std::int32_t> all(answers);
+    const auto answers_of = [&](std::size_t list_index) {
+      return all.subspan(enquiry_begin[list_index],
+                         enquiry_begin[list_index + 1] -
+                             enquiry_begin[list_index]);
+    };
+    li = 0;
+    for (ContList& list : cont_lists) apply_and_regroup(list, answers_of(li++));
+    for (CatList& list : cat_lists) apply_and_regroup(list, answers_of(li++));
 
     // ---------------- Level bookkeeping ------------------------------------
     split_span.reset();

@@ -37,7 +37,7 @@ struct LevelStats {
   std::uint64_t max_bytes_sent_per_rank = 0;
   // Collective operations entered during this level (every CommOp except
   // point-to-point, counted before the level-stats collectives themselves).
-  // With fuse_collectives this is O(1) in the number of attribute lists.
+  // O(1) in the number of attribute lists (fused CollectiveBatch rounds).
   std::int64_t collective_calls = 0;
   double vtime_end = 0.0;
 };

@@ -71,11 +71,10 @@ class PhaseSpan {
 };
 
 // SPMD argument-consistency / checkpoint-compatibility fingerprint (FNV-1a
-// over total, schema and the tree-shaping options). fuse_collectives,
-// layout and the split-mode trio (split_mode/hist_bins/top_k) are
-// deliberately excluded: all of them consume and produce the same
-// checkpoint format, so a checkpoint written under one setting resumes
-// under any other.
+// over total, schema and the tree-shaping options). The split-mode trio
+// (split_mode/hist_bins/top_k) is deliberately excluded: every mode
+// consumes and produces the same checkpoint format, so a checkpoint written
+// under one mode resumes under any other.
 inline std::uint64_t induction_fingerprint(const data::Schema& schema,
                                            std::uint64_t total_records,
                                            const InductionOptions& options,

@@ -58,19 +58,6 @@ enum class SplitMode : int {
   kVoting = 2,
 };
 
-// In-memory layout of the continuous attribute lists during induction
-// (DESIGN.md; docs/architecture.md "memory layout & scan kernels").
-enum class DataLayout : int {
-  // Padded 24-byte array-of-structs entries, scanned by the recompute
-  // impurity scanner. The seed implementation; kept as the differential
-  // oracle and the bench baseline.
-  kAoS = 0,
-  // Structure-of-arrays columns (20 bytes/record, separate value/rid/class
-  // streams), scanned by the incremental run-length gini kernel, with
-  // per-level scratch served from an arena. The fast path.
-  kSoA = 1,
-};
-
 struct InductionOptions {
   // Hard depth cap (root is depth 0). 64 never binds in practice; tests use
   // small values to exercise the cutoff.
@@ -87,28 +74,11 @@ struct InductionOptions {
   // rank per round, to bound communication buffer memory (§3.3.2). 0 means
   // "N/p", the paper's choice. Benches ablate this (A1).
   std::int64_t node_table_update_block = 0;
-  // Pack each level's split-determination collectives (all continuous count
-  // matrices + boundaries into one exscan; all categorical count matrices
-  // into one reduce/allreduce; all winning value->child mappings into one
-  // broadcast round) so the latency term is O(1) per level instead of
-  // O(attributes). Off runs one collective per attribute list — kept as a
-  // differential-testing oracle. Both settings produce byte-identical trees,
-  // which is why this flag is deliberately NOT part of the SPMD/checkpoint
-  // fingerprint: a checkpoint written under one setting resumes under the
-  // other.
-  bool fuse_collectives = true;
-  // Continuous-list layout. Both layouts produce byte-identical trees and
-  // byte-identical checkpoint files (sections are always written in AoS
-  // entry form), which is why this flag — like fuse_collectives — is
-  // deliberately NOT part of the SPMD/checkpoint fingerprint: a checkpoint
-  // written under one layout resumes under the other.
-  DataLayout layout = DataLayout::kSoA;
-  // Split determination mode. Like fuse_collectives and layout, deliberately
-  // NOT part of the SPMD/checkpoint fingerprint: every mode consumes and
-  // produces the same on-disk checkpoint format (sorted AoS attribute-list
-  // sections), so an exact-mode checkpoint resumes under histogram mode and
-  // vice versa — the tree below the resume level then follows the resumed
-  // mode's split rule.
+  // Split determination mode. Deliberately NOT part of the SPMD/checkpoint
+  // fingerprint: every mode consumes and produces the same on-disk
+  // checkpoint format (sorted attribute-list entry sections), so an
+  // exact-mode checkpoint resumes under histogram mode and vice versa — the
+  // tree below the resume level then follows the resumed mode's split rule.
   SplitMode split_mode = SplitMode::kExact;
   // Histogram/voting: fixed-width bins per continuous attribute (>= 2).
   // More bins = closer to exact splits, linearly more bytes per level.

@@ -178,26 +178,6 @@ void absorb_recovery_metrics(mp::MetricsSnapshot& metrics,
 RecoveryReport ScalParC::fit_with_recovery(const data::Dataset& training,
                                            int nranks,
                                            const InductionControls& controls,
-                                           const mp::CostModel& model,
-                                           const mp::RunOptions& run_options,
-                                           int max_retries,
-                                           RecoveryPolicy policy) {
-  RecoveryControls recovery;
-  recovery.policy = policy;
-  recovery.max_retries = max_retries;
-  RecoveryReport report =
-      fit_with_recovery(training, nranks, controls, recovery, model,
-                        run_options);
-  // Legacy contract: a run that did not complete rethrows its last failure.
-  if (report.outcome != RecoveryOutcome::kCompleted) {
-    std::rethrow_exception(report.last_error);
-  }
-  return report;
-}
-
-RecoveryReport ScalParC::fit_with_recovery(const data::Dataset& training,
-                                           int nranks,
-                                           const InductionControls& controls,
                                            const RecoveryControls& recovery,
                                            const mp::CostModel& model,
                                            const mp::RunOptions& run_options) {

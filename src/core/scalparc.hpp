@@ -105,8 +105,7 @@ enum class RecoveryOutcome : int {
 };
 const char* to_string(RecoveryOutcome outcome);
 
-// Full recovery configuration for the struct-based fit_with_recovery
-// overload (the legacy positional overload covers restart/shrink only).
+// Full recovery configuration for fit_with_recovery.
 struct RecoveryControls {
   RecoveryPolicy policy = RecoveryPolicy::kRestart;
   // Per-event overrides: failure i applies policy_sequence[i] when present,
@@ -130,9 +129,9 @@ struct RecoveryReport {
   std::vector<RecoveryEvent> events;  // one per survived failure
   int attempts = 1;                   // total runs including the final one
   RecoveryOutcome outcome = RecoveryOutcome::kCompleted;
-  // Set when outcome != kCompleted: the final attempt's primary error. The
-  // struct-based overload classifies instead of throwing; fit.run still
-  // carries the failed attempt's metrics and failure report.
+  // Set when outcome != kCompleted: the final attempt's primary error.
+  // fit_with_recovery classifies instead of throwing; fit.run still carries
+  // the failed attempt's metrics and failure report.
   std::exception_ptr last_error;
   // Cumulative wall-clock seconds of failed attempts (the heal budget's
   // meter).
@@ -178,28 +177,19 @@ class ScalParC {
 
   // Fit that survives rank failures: on any failed run it resumes from the
   // last complete checkpoint (or restarts from scratch when none committed
-  // yet) until the fit succeeds or `max_retries` retries are exhausted, in
-  // which case the last failure is rethrown. Faults are treated as
-  // transient — an injected fault plan is dropped after the first failure,
-  // matching a crashed-and-restarted process. Requires a checkpoint
+  // yet) until the fit succeeds or the recovery controls give up. Faults are
+  // treated as transient — an injected fault plan is dropped after the first
+  // failure, matching a crashed-and-restarted process. Requires a checkpoint
   // directory in `controls`. Under RecoveryPolicy::kShrink a rank death
   // removes the dead rank(s) from the world and the survivors continue from
   // the checkpoint via elastic repartition, still producing the
-  // byte-identical tree.
-  static RecoveryReport fit_with_recovery(
-      const data::Dataset& training, int nranks,
-      const InductionControls& controls,
-      const mp::CostModel& model = mp::CostModel::zero(),
-      const mp::RunOptions& run_options = {}, int max_retries = 3,
-      RecoveryPolicy policy = RecoveryPolicy::kRestart);
-
-  // Struct-based overload with the full recovery surface: per-event policy
-  // sequences (grow included), recovery budget, compound fault schedules.
-  // Unlike the positional overload it never rethrows a rank failure —
-  // the report's `outcome` classifies how the run ended and `last_error`
-  // carries the final failure. The final attempt's metrics gain the
-  // recovery.* family (attempts, recoveries, shrinks/grows/restarts,
-  // heal_seconds, outcome, budget_remaining).
+  // byte-identical tree. `recovery` carries the full surface: per-event
+  // policy sequences (grow included), recovery budget, compound fault
+  // schedules. A rank failure is never rethrown — the report's `outcome`
+  // classifies how the run ended and `last_error` carries the final
+  // failure. The final attempt's metrics gain the recovery.* family
+  // (attempts, recoveries, shrinks/grows/restarts, heal_seconds, outcome,
+  // budget_remaining).
   static RecoveryReport fit_with_recovery(
       const data::Dataset& training, int nranks,
       const InductionControls& controls, const RecoveryControls& recovery,

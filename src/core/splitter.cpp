@@ -9,16 +9,6 @@
 
 namespace scalparc::core {
 
-void assign_children_continuous(std::span<const data::ContinuousEntry> segment,
-                                double threshold, std::span<std::int32_t> out) {
-  if (segment.size() != out.size()) {
-    throw std::invalid_argument("assign_children_continuous: size mismatch");
-  }
-  for (std::size_t i = 0; i < segment.size(); ++i) {
-    out[i] = segment[i].value < threshold ? 0 : 1;
-  }
-}
-
 void assign_children_continuous(std::span<const double> values,
                                 double threshold, std::span<std::int32_t> out) {
   if (values.size() != out.size()) {
@@ -26,23 +16,6 @@ void assign_children_continuous(std::span<const double> values,
   }
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i] = values[i] < threshold ? 0 : 1;
-  }
-}
-
-void assign_children_categorical(std::span<const data::CategoricalEntry> segment,
-                                 std::span<const std::int32_t> value_to_child,
-                                 std::span<std::int32_t> out) {
-  if (segment.size() != out.size()) {
-    throw std::invalid_argument("assign_children_categorical: size mismatch");
-  }
-  for (std::size_t i = 0; i < segment.size(); ++i) {
-    const std::int32_t v = segment[i].value;
-    if (v < 0 || v >= static_cast<std::int32_t>(value_to_child.size()) ||
-        value_to_child[static_cast<std::size_t>(v)] < 0) {
-      throw std::logic_error(
-          "assign_children_categorical: training value missing from mapping");
-    }
-    out[i] = value_to_child[static_cast<std::size_t>(v)];
   }
 }
 

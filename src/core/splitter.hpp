@@ -8,24 +8,17 @@
 #include <vector>
 
 #include "core/count_matrix.hpp"
-#include "data/attribute_list.hpp"
 
 namespace scalparc::core {
 
 // Continuous split "A < threshold": child 0 below, child 1 at or above.
-void assign_children_continuous(std::span<const data::ContinuousEntry> segment,
-                                double threshold, std::span<std::int32_t> out);
-// SoA form: reads only the value stream; the branchless compare-and-select
-// loop auto-vectorizes.
+// Reads only the value column; the branchless compare-and-select loop
+// auto-vectorizes.
 void assign_children_continuous(std::span<const double> values,
                                 double threshold, std::span<std::int32_t> out);
 
-// Categorical split via a value -> child-slot mapping (-1 never occurs in
-// training data by construction; hitting one throws).
-void assign_children_categorical(std::span<const data::CategoricalEntry> segment,
-                                 std::span<const std::int32_t> value_to_child,
-                                 std::span<std::int32_t> out);
-// SoA form over the value stream.
+// Categorical split via a value -> child-slot mapping over the value column
+// (-1 never occurs in training data by construction; hitting one throws).
 void assign_children_categorical(std::span<const std::int32_t> values,
                                  std::span<const std::int32_t> value_to_child,
                                  std::span<std::int32_t> out);

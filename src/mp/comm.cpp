@@ -313,6 +313,7 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
   // plus timer-driven retransmit requests that actually re-queued a copy.
   int heal_attempts = 0;
   int heals_performed = 0;
+  bool heal_exhausted = false;
   struct Unmark {
     Hub* hub = nullptr;
     int rank = 0;
@@ -352,7 +353,11 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
           adaptive_timeout_max_s_ =
               std::max(adaptive_timeout_max_s_, adaptive_window_s);
         }
-        hub_.mark_blocked(rank_, src, tag);
+      }
+      if (unmark.hub == nullptr) {
+        // (Re-)enter the blocked registry. Re-entry after a discarded
+        // duplicate or a nacked frame keeps this receive's heal-budget state.
+        hub_.mark_blocked(rank_, src, tag, heal_exhausted);
         unmark.hub = &hub_;
         unmark.rank = rank_;
       }
@@ -393,6 +398,7 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
             // Budget spent: hand authority back to the deadlock detector
             // (its probe otherwise assumes this receiver will keep healing).
             hub_.mark_heal_exhausted(rank_);
+            heal_exhausted = true;
             next_retransmit = clock::time_point::max();
           }
         }
@@ -445,6 +451,17 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
       }
     }
 
+    // Leave the liveness registry as soon as the frame is popped: a rank
+    // holding its frame is not blocked, and the CRC32 check of a large frame
+    // can outlast the deadlock detector's confirmation pause — with
+    // reliability off nothing else would veto a phantom "all blocked"
+    // verdict. Leaving before the acknowledgement matters too: the ack drops
+    // the sender's retransmittable copy.
+    if (unmark.hub != nullptr) {
+      hub_.mark_unblocked(rank_);
+      unmark.hub = nullptr;
+    }
+
     // Protocol checks. Dedupe strictly before CRC: a duplicate of an
     // already-accepted frame is discarded even if the wire mangled it, and a
     // seq must only be marked accepted once its frame passes the checksum
@@ -466,14 +483,6 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
                << ", tag=" << tag << ", bytes=" << message.payload.size()
                << ") failed its CRC32 frame checksum";
       throw CorruptMessage(what_out.str());
-    }
-    // Leave the liveness registry *before* acknowledging: the ack drops the
-    // sender's retransmittable copy, so a deadlock probe sampling between the
-    // ack and the guard's unmark would see this rank blocked with nothing
-    // deliverable — a phantom deadlock under heavy CPU oversubscription.
-    if (unmark.hub != nullptr) {
-      hub_.mark_unblocked(rank_);
-      unmark.hub = nullptr;
     }
     if (reliability.enabled && message.seq != 0) {
       channel.acknowledge(message.seq);

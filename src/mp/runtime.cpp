@@ -61,14 +61,15 @@ ChannelStats Hub::transport_stats() const {
   return total;
 }
 
-void Hub::mark_blocked(int rank, int src, std::int64_t tag) {
+void Hub::mark_blocked(int rank, int src, std::int64_t tag,
+                       bool heal_exhausted) {
   {
     std::lock_guard<std::mutex> lock(wait_mutex_);
     WaitState& w = waits_[static_cast<std::size_t>(rank)];
     w.blocked = true;
     w.src = src;
     w.tag = tag;
-    w.heal_exhausted = false;  // fresh budget for every logical receive
+    w.heal_exhausted = heal_exhausted;
     ++w.epoch;
   }
   if (health_.enabled()) health_.on_blocked(rank);
@@ -218,16 +219,14 @@ int join_handshake(Comm& comm, const JoinCapability& capability) {
       const auto offered = comm.recv_value<JoinCapability>(joiner, cap_tag);
       if (offered.fingerprint != capability.fingerprint ||
           offered.total_records != capability.total_records ||
-          offered.num_attributes != capability.num_attributes ||
-          offered.layout != capability.layout) {
+          offered.num_attributes != capability.num_attributes) {
         std::ostringstream what;
         what << "join_handshake: joiner rank " << joiner
              << " capability mismatch (fingerprint " << offered.fingerprint
              << " vs " << capability.fingerprint << ", records "
              << offered.total_records << " vs " << capability.total_records
              << ", attrs " << offered.num_attributes << " vs "
-             << capability.num_attributes << ", layout " << offered.layout
-             << " vs " << capability.layout << "); refusing to admit";
+             << capability.num_attributes << "); refusing to admit";
         throw std::runtime_error(what.str());
       }
       comm.admit_joiner(joiner);

@@ -129,7 +129,11 @@ class Hub {
   // terminated with a primary error so the diagnostic (and the recovery
   // layer, via RunResult::dead_ranks) can classify "rank dead — shrink or
   // restart" apart from "all ranks blocked" livelock.
-  void mark_blocked(int rank, int src, std::int64_t tag);
+  // A receiver leaves the registry as soon as it pops a frame and
+  // re-enters if the frame is then discarded (duplicate) or nacked; the
+  // re-entry passes on the receive's heal_exhausted state.
+  void mark_blocked(int rank, int src, std::int64_t tag,
+                    bool heal_exhausted = false);
   void mark_unblocked(int rank);
   // The blocked receiver exhausted its retransmit budget: the detector must
   // stop assuming it will heal the channel itself and regain authority to
@@ -159,8 +163,8 @@ class Hub {
     bool blocked = false;
     bool finished = false;
     bool dead = false;
-    // True once this receive's retransmit budget ran out (reset on every
-    // new block): disables the can_retransmit deadlock-probe suppression.
+    // True once this receive's retransmit budget ran out (set by
+    // mark_blocked): disables the can_retransmit deadlock-probe suppression.
     bool heal_exhausted = false;
     int src = -1;
     std::int64_t tag = 0;
@@ -186,7 +190,6 @@ struct JoinCapability {
   std::uint64_t fingerprint = 0;   // checkpoint schema/options fingerprint
   std::int64_t total_records = 0;  // global record count of the training set
   std::int32_t num_attributes = 0;
-  std::int32_t layout = 0;         // attribute-list layout discriminant
 };
 static_assert(std::is_trivially_copyable_v<JoinCapability>);
 

@@ -23,6 +23,7 @@ inline std::vector<std::byte> pack_columns(const data::ContinuousColumns& cols,
                                            std::size_t begin, std::size_t end) {
   const std::size_t n = end - begin;
   std::vector<std::byte> out(n * data::ContinuousColumns::bytes_per_record);
+  if (n == 0) return out;  // empty vectors may hold null pointers
   std::byte* cursor = out.data();
   std::memcpy(cursor, cols.values.data() + begin, n * sizeof(double));
   cursor += n * sizeof(double);
@@ -39,6 +40,7 @@ inline std::size_t unpack_columns(const std::vector<std::byte>& bytes,
     throw std::logic_error("unpack_columns: byte count is not a whole record");
   }
   const std::size_t n = bytes.size() / data::ContinuousColumns::bytes_per_record;
+  if (n == 0) return 0;  // empty vectors may hold null pointers
   const std::size_t base = cols.size();
   cols.resize(base + n);
   const std::byte* cursor = bytes.data();

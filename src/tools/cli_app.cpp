@@ -49,9 +49,6 @@ commands:
                --strategy S         scalparc | sprint (default scalparc)
                --max-depth D        depth cap (default 64)
                --min-split M        min records to split a node (default 2)
-               --no-fuse            per-attribute collectives instead of the
-                                    fused per-level rounds (same tree; the
-                                    differential-testing oracle)
                --split-mode M       exact | histogram | voting: split
                                     determination engine (default exact).
                                     histogram merges fixed-width class
@@ -156,7 +153,6 @@ core::InductionControls controls_from(const util::CliArgs& args,
   core::InductionControls controls;
   controls.options.max_depth = static_cast<int>(args.get_int("max-depth", 64));
   controls.options.min_split_records = args.get_int("min-split", 2);
-  controls.options.fuse_collectives = !args.get_bool("no-fuse", false);
   const std::string criterion = args.get_string("criterion", "gini");
   if (criterion == "gini") {
     controls.options.criterion = core::SplitCriterion::kGini;

@@ -56,7 +56,8 @@ class Arena {
   template <typename T>
   std::span<T> alloc_zeroed(std::size_t count) {
     std::span<T> out = alloc<T>(count);
-    std::memset(out.data(), 0, out.size_bytes());
+    // An empty span may carry a null pointer, which memset must not see.
+    if (!out.empty()) std::memset(out.data(), 0, out.size_bytes());
     return out;
   }
 

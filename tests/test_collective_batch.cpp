@@ -1,12 +1,17 @@
 // Property tests for the fused collective layer: a CollectiveBatch round
 // over randomized packed directories (random segment counts, sizes, element
 // types and roots, including empty segments) must be element-identical to
-// running the unfused reference collective segment by segment.
+// running the unfused reference collective segment by segment. The
+// transport under the rounds rides along: wire-fault healing and the
+// deadlock detector's view of a receiver that is checking a large frame.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "mp/collective_batch.hpp"
@@ -403,6 +408,31 @@ TEST(CollectiveBatch, FusedRoundsHealInjectedWireFaults) {
               clean[static_cast<std::size_t>(r)])
         << "rank " << r;
   }
+}
+
+// With reliability off nothing vetoes the deadlock probe, so a receiver must
+// leave the blocked registry as soon as it pops its frame. The CRC32 check of
+// a 64 MB frame outlasts the probe's 20 ms confirmation pause; a receiver
+// still registered as blocked during it made both ranks look stuck while
+// rank 1 waited for the reply.
+TEST(DeadlockDetector, ReceiverCheckingALargeFrameIsNotBlocked) {
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  mp::RunOptions options;
+  options.reliability.enabled = false;
+  const mp::RunResult run = mp::try_run_ranks(
+      2, kZero,
+      [&](mp::Comm& comm) {
+        if (comm.rank() == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          comm.send(0, 1, std::vector<std::byte>(kBytes, std::byte{0x5a}));
+          EXPECT_EQ(comm.recv_value<int>(0, 2), 7);
+        } else {
+          EXPECT_EQ(comm.recv<std::byte>(1, 1).size(), kBytes);
+          comm.send_value<int>(1, 2, 7);
+        }
+      },
+      options);
+  EXPECT_FALSE(run.failed()) << run.failure_message;
 }
 
 }  // namespace

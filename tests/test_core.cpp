@@ -386,25 +386,23 @@ TEST(CategoricalSplit, SubsetRejectsHugeCardinality) {
 // ---------------------------------------------------------------------------
 
 TEST(Splitter, ContinuousAssignment) {
-  const auto entries = entries_of({{1, 0}, {5, 0}, {9, 1}});
+  const std::vector<double> values{1, 5, 9};
   std::vector<std::int32_t> out(3);
-  core::assign_children_continuous(entries, 5.0, out);
+  core::assign_children_continuous(values, 5.0, out);
   EXPECT_EQ(out[0], 0);
   EXPECT_EQ(out[1], 1);  // 5 is not < 5
   EXPECT_EQ(out[2], 1);
 }
 
 TEST(Splitter, CategoricalAssignmentAndMissingValueThrows) {
-  std::vector<data::CategoricalEntry> entries(2);
-  entries[0].value = 1;
-  entries[1].value = 0;
+  std::vector<std::int32_t> values{1, 0};
   const std::vector<std::int32_t> mapping{2, 0};
   std::vector<std::int32_t> out(2);
-  core::assign_children_categorical(entries, mapping, out);
+  core::assign_children_categorical(values, mapping, out);
   EXPECT_EQ(out[0], 0);
   EXPECT_EQ(out[1], 2);
-  entries[0].value = 7;  // outside mapping
-  EXPECT_THROW(core::assign_children_categorical(entries, mapping, out),
+  values[0] = 7;  // outside mapping
+  EXPECT_THROW(core::assign_children_categorical(values, mapping, out),
                std::logic_error);
 }
 

@@ -150,7 +150,6 @@ TEST(JoinHandshake, AdmitsMatchingJoiners) {
         capability.fingerprint = 42;
         capability.total_records = 1000;
         capability.num_attributes = 7;
-        capability.layout = 1;
         admitted_total += mp::join_handshake(comm, capability);
       },
       options);
@@ -170,7 +169,6 @@ TEST(JoinHandshake, RejectsMismatchedCapability) {
             comm.rank() >= comm.prior_world() ? 7u : 42u;  // joiner disagrees
         capability.total_records = 1000;
         capability.num_attributes = 7;
-        capability.layout = 0;
         (void)mp::join_handshake(comm, capability);
       },
       options);

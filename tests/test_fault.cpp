@@ -26,6 +26,7 @@
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "sort/partition_util.hpp"
+#include "sprint/serial_sprint.hpp"
 
 namespace scalparc {
 namespace {
@@ -68,6 +69,20 @@ struct TempDir {
   }
   static inline int counter_ = 0;
 };
+
+// fit_with_recovery under `policy`, otherwise default recovery controls.
+// Every caller expects the fit to complete.
+core::RecoveryReport recover(
+    const data::Dataset& training, int p,
+    const core::InductionControls& controls, const mp::RunOptions& options,
+    core::RecoveryPolicy policy = core::RecoveryPolicy::kRestart) {
+  core::RecoveryControls recovery;
+  recovery.policy = policy;
+  core::RecoveryReport report = core::ScalParC::fit_with_recovery(
+      training, p, controls, recovery, kZero, options);
+  EXPECT_EQ(report.outcome, core::RecoveryOutcome::kCompleted);
+  return report;
+}
 
 // ---------------------------------------------------------------------------
 // FaultPlan grammar
@@ -439,8 +454,7 @@ TEST(FaultRecovery, KillAtEveryLevelResumesToIdenticalTree) {
 
       core::InductionControls ckpt = controls;
       ckpt.checkpoint.directory = dir.path;
-      const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-          training, p, ckpt, kZero, options);
+      const core::RecoveryReport report = recover(training, p, ckpt, options);
       EXPECT_EQ(report.attempts, 2) << "p=" << p << " level=" << level;
       ASSERT_EQ(report.events.size(), 1u) << "p=" << p << " level=" << level;
       EXPECT_EQ(report.events[0].failed_rank, victim)
@@ -487,8 +501,7 @@ TEST(FaultRecovery, MidLevelKillResumesToIdenticalTree) {
   options.fault_plan = &plan;
   core::InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report =
-      core::ScalParC::fit_with_recovery(training, 4, ckpt, kZero, options);
+  const core::RecoveryReport report = recover(training, 4, ckpt, options);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].failed_rank, 3);
@@ -512,8 +525,7 @@ TEST(FaultRecovery, KillBeforeFirstCheckpointRestartsFromScratch) {
   options.fault_plan = &plan;
   core::InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report =
-      core::ScalParC::fit_with_recovery(training, 2, ckpt, kZero, options);
+  const core::RecoveryReport report = recover(training, 2, ckpt, options);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].resumed_level, -1);  // nothing committed yet
@@ -554,62 +566,32 @@ TEST(FaultRecovery, ResumeWithoutCheckpointThrows) {
                core::CheckpointError);
 }
 
-// Differential: a fused run killed mid-tree and resumed must reproduce the
-// UNFUSED clean tree — recovery correctness and fused/unfused equivalence
-// checked in one pass.
+// Differential: a run killed mid-tree and resumed must reproduce the serial
+// SPRINT oracle's tree — recovery correctness checked against an engine
+// that shares no code with the distributed level loop.
 TEST(FaultRecovery, FusedKillAndResumeMatchesUnfusedCleanTree) {
   const data::Dataset training = make_training(3000);
-  core::InductionControls unfused;
-  unfused.options.max_depth = 5;
-  unfused.options.fuse_collectives = false;
-  const std::string expected =
-      tree_bytes(core::ScalParC::fit(training, 4, unfused).tree);
+  core::InductionControls controls;
+  controls.options.max_depth = 5;
+  const core::DecisionTree oracle =
+      sprint::fit_serial_sprint(training, controls.options);
 
-  TempDir dir("scalparc_ckpt_fused_diff");
+  TempDir dir("scalparc_ckpt_kill_oracle");
   mp::FaultPlan plan;
   plan.parse("kill:r=1,level=2");
   mp::RunOptions options;
   options.fault_plan = &plan;
-  core::InductionControls fused = unfused;
-  fused.options.fuse_collectives = true;
-  fused.checkpoint.directory = dir.path;
-  const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-      training, 4, fused, kZero, options);
+  controls.checkpoint.directory = dir.path;
+  const core::RecoveryReport report = recover(training, 4, controls, options);
   EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(tree_bytes(report.fit.tree), expected);
-}
-
-// fuse_collectives is deliberately absent from the checkpoint fingerprint:
-// a checkpoint written by an unfused run resumes under the fused path (and
-// still reproduces the identical tree).
-TEST(FaultRecovery, CheckpointWrittenUnfusedResumesFused) {
-  const data::Dataset training = make_training(3000);
-  core::InductionControls unfused;
-  unfused.options.max_depth = 5;
-  unfused.options.fuse_collectives = false;
-  const std::string expected =
-      tree_bytes(core::ScalParC::fit(training, 4, unfused).tree);
-
-  TempDir dir("scalparc_ckpt_cross_flag");
-  core::InductionControls ckpt = unfused;
-  ckpt.checkpoint.directory = dir.path;
-  mp::FaultPlan plan;
-  plan.parse("kill:r=2,level=3");
-  mp::RunOptions options;
-  options.fault_plan = &plan;
-  EXPECT_THROW(core::ScalParC::fit(training, 4, ckpt, kZero, options),
-               mp::InjectedFault);
-
-  core::InductionControls fused = ckpt;
-  fused.options.fuse_collectives = true;
-  const core::FitReport resumed =
-      core::ScalParC::resume_from_checkpoint(training, 4, fused);
-  EXPECT_EQ(tree_bytes(resumed.tree), expected);
+  EXPECT_TRUE(oracle.same_structure(report.fit.tree));
+  EXPECT_EQ(tree_bytes(report.fit.tree), tree_bytes(oracle));
 }
 
 TEST(FaultRecovery, RecoveryRequiresCheckpointDirectory) {
   const data::Dataset training = make_training(500);
-  EXPECT_THROW(core::ScalParC::fit_with_recovery(training, 2, {}),
+  EXPECT_THROW(core::ScalParC::fit_with_recovery(training, 2, {},
+                                                 core::RecoveryControls{}),
                std::invalid_argument);
 }
 
@@ -698,40 +680,36 @@ TEST(TransportHealing, DuplicatedMessageIsDedupedBySequence) {
   EXPECT_EQ(run.undelivered_messages, 0u);
 }
 
-// The acceptance bar of this PR: drop, corrupt and duplicate faults injected
-// into a live induction heal inside the transport — zero checkpoint
-// restarts, retransmit counters prove the healing happened, and the tree is
-// byte-identical to the fault-free run. Exercised under both the fused and
-// the unfused collective paths.
+// Drop, corrupt and duplicate faults injected into a live induction heal
+// inside the transport — zero checkpoint restarts, retransmit counters prove
+// the healing happened, and the tree is byte-identical to the fault-free
+// run.
 TEST(TransportHealing, MixedFaultsHealInsideInductionToIdenticalTree) {
   const data::Dataset training = make_training(2000);
-  for (const bool fused : {true, false}) {
-    core::InductionControls controls;
-    controls.options.max_depth = 4;
-    controls.options.fuse_collectives = fused;
-    const std::string expected =
-        tree_bytes(core::ScalParC::fit(training, 2, controls).tree);
+  core::InductionControls controls;
+  controls.options.max_depth = 4;
+  const std::string expected =
+      tree_bytes(core::ScalParC::fit(training, 2, controls).tree);
 
-    // Faults only trigger on send ops and the send/recv pattern at any
-    // given op index is an induction internal; three consecutive indices
-    // per kind guarantee each kind lands on at least one send.
-    mp::FaultPlan plan;
-    plan.parse(
-        "drop:r=0,op=2;drop:r=0,op=3;drop:r=0,op=4;"
-        "corrupt:r=1,op=5;corrupt:r=1,op=6;corrupt:r=1,op=7;"
-        "duplicate:r=0,op=8;duplicate:r=0,op=9;duplicate:r=0,op=10");
-    const mp::RunOptions options = fast_heal_options(&plan);
-    const core::FitReport report =
-        core::ScalParC::fit(training, 2, controls, kZero, options);
-    EXPECT_EQ(tree_bytes(report.tree), expected) << "fused=" << fused;
-    EXPECT_FALSE(report.run.failed()) << "fused=" << fused;
-    EXPECT_GE(plan.drops_injected(), 1u) << "fused=" << fused;
-    EXPECT_GE(plan.corruptions_injected(), 1u) << "fused=" << fused;
-    EXPECT_GE(plan.duplicates_injected(), 1u) << "fused=" << fused;
-    EXPECT_GE(report.run.transport.retransmits, 1u) << "fused=" << fused;
-    EXPECT_GE(report.run.transport.nacks, 1u) << "fused=" << fused;
-    EXPECT_GE(report.run.transport.duplicates, 1u) << "fused=" << fused;
-  }
+  // Faults only trigger on send ops and the send/recv pattern at any given
+  // op index is an induction internal; three consecutive indices per kind
+  // guarantee each kind lands on at least one send.
+  mp::FaultPlan plan;
+  plan.parse(
+      "drop:r=0,op=2;drop:r=0,op=3;drop:r=0,op=4;"
+      "corrupt:r=1,op=5;corrupt:r=1,op=6;corrupt:r=1,op=7;"
+      "duplicate:r=0,op=8;duplicate:r=0,op=9;duplicate:r=0,op=10");
+  const mp::RunOptions options = fast_heal_options(&plan);
+  const core::FitReport report =
+      core::ScalParC::fit(training, 2, controls, kZero, options);
+  EXPECT_EQ(tree_bytes(report.tree), expected);
+  EXPECT_FALSE(report.run.failed());
+  EXPECT_GE(plan.drops_injected(), 1u);
+  EXPECT_GE(plan.corruptions_injected(), 1u);
+  EXPECT_GE(plan.duplicates_injected(), 1u);
+  EXPECT_GE(report.run.transport.retransmits, 1u);
+  EXPECT_GE(report.run.transport.nacks, 1u);
+  EXPECT_GE(report.run.transport.duplicates, 1u);
 }
 
 // Sweep satellite: a single drop at *every* op index of a 2-rank induction.
@@ -928,8 +906,8 @@ TEST(ShrinkRecovery, SurvivorsContinueFromCheckpointToIdenticalTree) {
   options.fault_plan = &plan;
   core::InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-      training, 4, ckpt, kZero, options, 3, core::RecoveryPolicy::kShrink);
+  const core::RecoveryReport report =
+      recover(training, 4, ckpt, options, core::RecoveryPolicy::kShrink);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].failed_rank, 2);
@@ -959,9 +937,8 @@ TEST(ShrinkRecovery, ShrinkMatrixAcrossLevelsAndWorlds) {
       options.fault_plan = &plan;
       core::InductionControls ckpt = controls;
       ckpt.checkpoint.directory = dir.path;
-      const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-          training, p, ckpt, kZero, options, 3,
-          core::RecoveryPolicy::kShrink);
+      const core::RecoveryReport report =
+          recover(training, p, ckpt, options, core::RecoveryPolicy::kShrink);
       EXPECT_EQ(report.attempts, 2) << "p=" << p << " level=" << level;
       ASSERT_EQ(report.events.size(), 1u) << "p=" << p << " level=" << level;
       EXPECT_EQ(report.events[0].policy, core::RecoveryPolicy::kShrink)
@@ -990,8 +967,8 @@ TEST(ShrinkRecovery, DeathBeforeFirstCheckpointRestartsWithSurvivors) {
   options.fault_plan = &plan;
   core::InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-      training, 4, ckpt, kZero, options, 3, core::RecoveryPolicy::kShrink);
+  const core::RecoveryReport report =
+      recover(training, 4, ckpt, options, core::RecoveryPolicy::kShrink);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].policy, core::RecoveryPolicy::kShrink);
@@ -1017,8 +994,8 @@ TEST(ShrinkRecovery, DeadlockDegradesShrinkToRestart) {
   options.reliability.enabled = false;  // make the drop a fatal deadlock
   core::InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
-      training, 2, ckpt, kZero, options, 3, core::RecoveryPolicy::kShrink);
+  const core::RecoveryReport report =
+      recover(training, 2, ckpt, options, core::RecoveryPolicy::kShrink);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].policy, core::RecoveryPolicy::kRestart);

@@ -428,8 +428,9 @@ TEST(HistogramRecovery, KillAndResumeReproducesCleanTree) {
   options.fault_plan = &plan;
   InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
-  const core::RecoveryReport report =
-      ScalParC::fit_with_recovery(training, 4, ckpt, kZero, options);
+  const core::RecoveryReport report = ScalParC::fit_with_recovery(
+      training, 4, ckpt, core::RecoveryControls{}, kZero, options);
+  EXPECT_EQ(report.outcome, core::RecoveryOutcome::kCompleted);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].failed_rank, 2);
@@ -452,8 +453,11 @@ TEST(HistogramRecovery, ShrinkRecoveryReproducesCleanTree) {
   options.fault_plan = &plan;
   InductionControls ckpt = controls;
   ckpt.checkpoint.directory = dir.path;
+  core::RecoveryControls recovery;
+  recovery.policy = core::RecoveryPolicy::kShrink;
   const core::RecoveryReport report = ScalParC::fit_with_recovery(
-      training, 4, ckpt, kZero, options, 3, core::RecoveryPolicy::kShrink);
+      training, 4, ckpt, recovery, kZero, options);
+  EXPECT_EQ(report.outcome, core::RecoveryOutcome::kCompleted);
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_EQ(report.events[0].policy, core::RecoveryPolicy::kShrink);
   EXPECT_EQ(report.events[0].ranks_after, 3);

@@ -529,8 +529,9 @@ TEST(Induction, PhaseTimingsAccountedUnderRealCostModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Collective fusion: the fused per-level rounds are a drop-in replacement
-// for the per-attribute collectives, differentially tested against them.
+// Collective fusion: every level's split-determination collectives travel in
+// O(1) packed CollectiveBatch rounds. The trees are checked against the
+// serial SPRINT oracle, the round count against an absolute bound.
 // ---------------------------------------------------------------------------
 
 std::string tree_bytes(const DecisionTree& tree) {
@@ -540,27 +541,27 @@ std::string tree_bytes(const DecisionTree& tree) {
 }
 
 TEST(CollectiveFusion, FusedTreeByteIdenticalToUnfused) {
-  // Mixed data: 9 Quest attributes = 6 continuous + 3 categorical.
+  // Mixed data: 9 Quest attributes = 6 continuous + 3 categorical. Both
+  // reductions: the coordinators' batched mapping broadcast, and kAllRanks'
+  // local mapping build. The trees must match serial SPRINT and each other
+  // byte for byte at every p.
   GeneratorConfig config;
   config.seed = 11;
   config.function = LabelFunction::kF6;
   config.num_attributes = 9;
   config.label_noise = 0.05;
   const data::Dataset training = QuestGenerator(config).generate(0, 1200);
+  const DecisionTree oracle = sprint::fit_serial_sprint(training);
 
   for (const auto reduction : {core::CategoricalReduction::kCoordinator,
                                core::CategoricalReduction::kAllRanks}) {
     for (const int p : {1, 2, 3, 4, 8}) {
-      InductionControls fused;
-      fused.options.categorical_reduction = reduction;
-      fused.options.fuse_collectives = true;
-      InductionControls unfused = fused;
-      unfused.options.fuse_collectives = false;
-      const std::string a = tree_bytes(ScalParC::fit(training, p, fused).tree);
-      const std::string b =
-          tree_bytes(ScalParC::fit(training, p, unfused).tree);
-      EXPECT_EQ(a, b) << "p=" << p << " reduction="
-                      << static_cast<int>(reduction);
+      InductionControls controls;
+      controls.options.categorical_reduction = reduction;
+      const DecisionTree tree = ScalParC::fit(training, p, controls).tree;
+      EXPECT_TRUE(oracle.same_structure(tree))
+          << "p=" << p << " reduction=" << static_cast<int>(reduction);
+      EXPECT_EQ(tree_bytes(tree), tree_bytes(oracle)) << "p=" << p;
     }
   }
 }
@@ -571,25 +572,25 @@ TEST(CollectiveFusion, FusedTreeByteIdenticalWithBinarySubsetSplits) {
   config.function = LabelFunction::kF7;
   config.num_attributes = 9;
   const data::Dataset training = QuestGenerator(config).generate(0, 900);
-  InductionControls fused;
-  fused.options.categorical_split = core::CategoricalSplit::kBinarySubset;
-  InductionControls unfused = fused;
-  unfused.options.fuse_collectives = false;
-  EXPECT_EQ(tree_bytes(ScalParC::fit(training, 4, fused).tree),
-            tree_bytes(ScalParC::fit(training, 4, unfused).tree));
+  InductionControls controls;
+  controls.options.categorical_split = core::CategoricalSplit::kBinarySubset;
+  const DecisionTree oracle =
+      sprint::fit_serial_sprint(training, controls.options);
+  const DecisionTree tree = ScalParC::fit(training, 4, controls).tree;
+  EXPECT_TRUE(oracle.same_structure(tree));
+  EXPECT_EQ(tree_bytes(tree), tree_bytes(oracle));
 }
 
 // The point of the fusion: per-level collective rounds are O(1) in the
-// number of attribute lists, where the unfused path issues O(attributes)
-// collectives per level.
+// number of attribute lists, where one collective per list would grow with
+// the attribute count.
 TEST(CollectiveFusion, FusedCollectiveCallsConstantInAttributeCount) {
-  const auto max_calls_per_level = [](int attributes, bool fuse) {
+  const auto max_calls_per_level = [](int attributes) {
     GeneratorConfig config;
     config.seed = 7;
     config.function = LabelFunction::kF1;  // depends on age only
     config.num_attributes = attributes;
     InductionControls controls;
-    controls.options.fuse_collectives = fuse;
     controls.options.max_depth = 4;
     controls.collect_level_stats = true;
     const auto report =
@@ -602,18 +603,13 @@ TEST(CollectiveFusion, FusedCollectiveCallsConstantInAttributeCount) {
   };
 
   // 3 attributes = 3 continuous lists; 9 = 6 continuous + 3 categorical.
-  const std::int64_t fused_small = max_calls_per_level(3, true);
-  const std::int64_t fused_large = max_calls_per_level(9, true);
-  const std::int64_t unfused_small = max_calls_per_level(3, false);
-  const std::int64_t unfused_large = max_calls_per_level(9, false);
+  const std::int64_t small = max_calls_per_level(3);
+  const std::int64_t large = max_calls_per_level(9);
 
-  // Fused: adding six lists adds at most the categorical round and the
+  // Adding six lists adds at most the categorical round and the
   // winner-mapping broadcast, never one collective per list.
-  EXPECT_LE(fused_large, fused_small + 2);
-  EXPECT_LE(fused_large, 16);
-  // Unfused: each extra continuous list costs two exscans per level.
-  EXPECT_GE(unfused_large, unfused_small + 6);
-  EXPECT_GT(unfused_large, fused_large);
+  EXPECT_LE(large, small + 2);
+  EXPECT_LE(large, 16);
 }
 
 TEST(Induction, PresortTimePrecordedUnderRealCostModel) {

@@ -249,10 +249,11 @@ struct TracedRun {
 };
 
 TracedRun traced_fit(const data::Dataset& training, int ranks,
-                     const mp::CostModel& model) {
+                     const mp::CostModel& model,
+                     const InductionControls& controls = {}) {
   EXPECT_TRUE(TraceCollector::instance().start(TraceConfig{}));
   TracedRun run;
-  run.report = ScalParC::fit(training, ranks, InductionControls{}, model);
+  run.report = ScalParC::fit(training, ranks, controls, model);
   run.dump = TraceCollector::instance().stop();
   return run;
 }
@@ -301,15 +302,10 @@ TEST(TraceInduction, ChromeExportHasOnePidPerRankAndAllPhases) {
 // loop, so per rank the top-level span vtime deltas sum exactly to
 // InductionStats::total_seconds (the report tool enforces 1%; here the
 // modeled clock is deterministic, so the agreement is to rounding).
-TEST(TraceInduction, SpanVtimesTileTotalSeconds) {
-  if (!util::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
-  const int p = 4;
-  const TracedRun run =
-      traced_fit(make_training(2000), p, mp::CostModel::cray_t3d());
+void expect_top_level_spans_tile_total(const TracedRun& run, int p) {
   ASSERT_TRUE(run.dump.complete());
   const double total = run.report.stats.total_seconds;
   ASSERT_GT(total, 0.0);
-
   std::map<int, double> rank_vtime;
   for (const util::TraceSpan& span : run.dump.spans) {
     if (span.depth == 0) {
@@ -320,6 +316,30 @@ TEST(TraceInduction, SpanVtimesTileTotalSeconds) {
   for (const auto& [rank, sum] : rank_vtime) {
     EXPECT_NEAR(sum, total, 0.01 * total) << "rank " << rank;
   }
+}
+
+TEST(TraceInduction, SpanVtimesTileTotalSeconds) {
+  if (!util::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const int p = 4;
+  expect_top_level_spans_tile_total(
+      traced_fit(make_training(2000), p, mp::CostModel::cray_t3d()), p);
+}
+
+// The histogram engine's phase spans follow the same contract, and none
+// nests inside another: each phase ends where the next begins.
+TEST(TraceInduction, HistogramPhaseSpansAreFlatAndTileTotalSeconds) {
+  if (!util::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const int p = 4;
+  InductionControls controls;
+  controls.options.split_mode = core::SplitMode::kHistogram;
+  controls.collect_level_stats = true;
+  const TracedRun run = traced_fit(make_training(2000), p,
+                                   mp::CostModel::cray_t3d(), controls);
+  for (const util::TraceSpan& span : run.dump.spans) {
+    EXPECT_EQ(span.depth, 0) << span.name << " at level " << span.level
+                             << " on rank " << span.rank;
+  }
+  expect_top_level_spans_tile_total(run, p);
 }
 
 TEST(TraceInduction, MergedRunMetricsCoverTheFamilies) {
