@@ -16,19 +16,24 @@
 //   ./level_comm [--records N] [--procs 2,4,8,16] [--depth D] [--seed S]
 //                [--bins B] [--top-k K]
 //                [--out BENCH_comm.json] [--validate BENCH_comm.json]
-//                [--csv DIR]
+//                [--compare BENCH_comm.json] [--csv DIR]
 //
 // --out writes the machine-readable JSON document; --validate re-parses a
 // document (the one just written, or any existing one) and checks its
 // schema plus the headline claims — at most kMaxExactLevelCalls collective
 // calls in every exact-mode level, and histogram-mode first-level bytes
 // flat in the record count while the exact engine's grow with it — exiting
-// non-zero on violation. The `perf` ctest label runs this at tiny scale as
-// a smoke test.
+// non-zero on violation. --compare checks that this run reproduces a
+// committed document field by field (see count_differences). The `perf`
+// ctest label runs this at tiny scale as a smoke test, and compares a run
+// with the committed BENCH_comm.json.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -256,6 +261,86 @@ bool validate(const Json& doc) {
   return true;
 }
 
+// Metrics that measure the host rather than the modeled run.
+constexpr const char* kHostMetrics[] = {"runtime.wall_seconds",
+                                        "runtime.liveness_epoch_bumps"};
+
+// Compares a regenerated document with a committed one, field by field:
+// integers must match exactly, other numbers to 1e-9 relative, and the
+// kHostMetrics are skipped. Prints every difference; returns their count.
+std::size_t count_differences(const Json& fresh, const Json& committed,
+                              const std::string& path) {
+  const auto differ = [&path](const std::string& what) {
+    std::fprintf(stderr, "%s: %s\n", path.empty() ? "<root>" : path.c_str(),
+                 what.c_str());
+    return std::size_t{1};
+  };
+  if (fresh.is_object() && committed.is_object()) {
+    const Json::Object& ours = fresh.as_object();
+    const Json::Object& theirs = committed.as_object();
+    std::size_t differences = 0;
+    for (const auto& [key, value] : theirs) {
+      if (std::find(std::begin(kHostMetrics), std::end(kHostMetrics), key) !=
+          std::end(kHostMetrics)) {
+        continue;
+      }
+      const auto it = ours.find(key);
+      differences += it == ours.end()
+                         ? differ("member '" + key + "' is missing")
+                         : count_differences(it->second, value,
+                                             path + "." + key);
+    }
+    for (const auto& [key, value] : ours) {
+      if (theirs.count(key) == 0) {
+        differences += differ("unexpected member '" + key + "'");
+      }
+    }
+    return differences;
+  }
+  if (fresh.is_array() && committed.is_array()) {
+    if (fresh.size() != committed.size()) {
+      return differ(std::to_string(fresh.size()) + " elements, expected " +
+                    std::to_string(committed.size()));
+    }
+    std::size_t differences = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      differences += count_differences(fresh.at(i), committed.at(i),
+                                       path + "[" + std::to_string(i) + "]");
+    }
+    return differences;
+  }
+  if (fresh.is_number() && committed.is_number()) {
+    const double ours = fresh.as_double();
+    const double theirs = committed.as_double();
+    const bool integers =
+        std::floor(ours) == ours && std::floor(theirs) == theirs;
+    const bool same =
+        integers ? ours == theirs
+                 : std::abs(ours - theirs) <=
+                       1e-9 * std::max(std::abs(ours), std::abs(theirs));
+    if (same) return 0;
+    char what[96];
+    std::snprintf(what, sizeof(what), "%.17g, expected %.17g", ours, theirs);
+    return differ(what);
+  }
+  return fresh.dump(0) == committed.dump(0)
+             ? 0
+             : differ(fresh.dump(0) + ", expected " + committed.dump(0));
+}
+
+// Reads and parses a JSON document; nullopt (with a message) when the file
+// cannot be read.
+std::optional<Json> read_document(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
+  return Json::parse(buffer.str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -264,19 +349,12 @@ int main(int argc, char** argv) {
 
   const std::string out_path = args.get_string("out", "");
   const std::string validate_path = args.get_string("validate", "");
+  const std::string compare_path = args.get_string("compare", "");
 
-  if (!out_path.empty() || validate_path.empty()) {
-    // Normal run (possibly followed by validation of what it wrote).
-  } else {
+  if (out_path.empty() && compare_path.empty() && !validate_path.empty()) {
     // Validate-only mode.
-    std::ifstream in(validate_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", validate_path.c_str());
-      return 1;
-    }
-    return validate(util::Json::parse(buffer.str())) ? 0 : 1;
+    const std::optional<Json> doc = read_document(validate_path);
+    return doc && validate(*doc) ? 0 : 1;
   }
 
   const auto records =
@@ -465,15 +543,22 @@ int main(int argc, char** argv) {
     std::printf("\nJSON written to %s\n", out_path.c_str());
   }
   if (!validate_path.empty()) {
-    std::ifstream in(validate_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", validate_path.c_str());
+    const std::optional<Json> written = read_document(validate_path);
+    if (!written || !validate(*written)) return 1;
+    std::printf("validation OK: %s\n", validate_path.c_str());
+  }
+  if (!compare_path.empty()) {
+    const std::optional<Json> committed = read_document(compare_path);
+    if (!committed) return 1;
+    // Compare what --out would write, at the precision it is written with.
+    const std::size_t differences =
+        count_differences(Json::parse(doc.dump(2)), *committed, "");
+    if (differences > 0) {
+      std::fprintf(stderr, "%zu field(s) differ from %s\n", differences,
+                   compare_path.c_str());
       return 1;
     }
-    if (!validate(util::Json::parse(buffer.str()))) return 1;
-    std::printf("validation OK: %s\n", validate_path.c_str());
+    std::printf("reproduces %s\n", compare_path.c_str());
   }
   return 0;
 }

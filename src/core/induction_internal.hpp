@@ -1,22 +1,29 @@
-// Internals shared by the two induction engines: the exact ScalParC engine
-// over sorted attribute lists (induction.cpp) and the histogram-quantized
-// PV-Tree engine over a horizontal record partition
-// (histogram_induction.cpp). Both produce the same tree/checkpoint
-// artifacts, so the frontier bookkeeping, the SPMD/checkpoint fingerprint
-// and the per-level tree growth live here and cannot drift apart.
+// Internals of the level driver (level_driver.cpp) and the two induction
+// engines it runs: the exact ScalParC engine over sorted attribute lists
+// (induction.cpp) and the histogram-quantized PV-Tree engine over a
+// horizontal record partition (histogram_induction.cpp).
+//
+// The driver owns the breadth-first level loop and everything that does not
+// depend on how an engine lays out its records: option and resume checks,
+// the SPMD fingerprint, the root node, the checkpoint manifest/tree/active
+// set and the write protocol, the closing min-allreduce of FindSplit II, the
+// split decision, the child class-count round, tree growth, level stats and
+// telemetry. An engine supplies only the per-record work, through the
+// InductionEngine interface below, a fixed number of calls per level.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
-#include <span>
-#include <stdexcept>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "core/options.hpp"
+#include "core/checkpoint.hpp"
+#include "core/induction.hpp"
 #include "core/split_finder.hpp"
-#include "core/tree.hpp"
+#include "data/dataset.hpp"
 #include "data/schema.hpp"
-#include "mp/collectives.hpp"
 #include "mp/comm.hpp"
 #include "util/trace.hpp"
 
@@ -28,20 +35,6 @@ struct ActiveNode {
   std::int64_t total = 0;
   std::vector<std::int64_t> class_totals;
 };
-
-inline std::int32_t majority_class(std::span<const std::int64_t> counts) {
-  std::size_t best = 0;
-  for (std::size_t j = 1; j < counts.size(); ++j) {
-    if (counts[j] > counts[best]) best = j;
-  }
-  return static_cast<std::int32_t>(best);
-}
-
-inline bool is_pure(std::span<const std::int64_t> counts) {
-  int non_zero = 0;
-  for (const std::int64_t c : counts) non_zero += c > 0;
-  return non_zero <= 1;
-}
 
 // Phase span carrying both clocks: wall time from the TraceScope itself and
 // the modeled virtual clock sampled at construction/destruction. The phase
@@ -70,47 +63,38 @@ class PhaseSpan {
   util::TraceScope scope_;
 };
 
-// SPMD argument-consistency / checkpoint-compatibility fingerprint (FNV-1a
-// over total, schema and the tree-shaping options). The split-mode trio
-// (split_mode/hist_bins/top_k) is deliberately excluded: every mode
-// consumes and produces the same checkpoint format, so a checkpoint written
-// under one mode resumes under any other.
-inline std::uint64_t induction_fingerprint(const data::Schema& schema,
-                                           std::uint64_t total_records,
-                                           const InductionOptions& options,
-                                           SplittingStrategy strategy) {
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
-  const auto mix = [&fp](std::uint64_t v) {
-    fp = (fp ^ v) * 0x100000001b3ULL;
-  };
-  mix(total_records);
-  mix(static_cast<std::uint64_t>(schema.num_classes()));
-  for (int a = 0; a < schema.num_attributes(); ++a) {
-    const data::AttributeInfo& info = schema.attribute(a);
-    mix(static_cast<std::uint64_t>(info.kind));
-    mix(static_cast<std::uint64_t>(info.cardinality));
-    for (const char ch : info.name) mix(static_cast<std::uint64_t>(ch));
-  }
-  mix(static_cast<std::uint64_t>(options.max_depth));
-  mix(static_cast<std::uint64_t>(options.min_split_records));
-  mix(static_cast<std::uint64_t>(options.criterion));
-  mix(static_cast<std::uint64_t>(options.categorical_split));
-  mix(static_cast<std::uint64_t>(options.categorical_reduction));
-  mix(static_cast<std::uint64_t>(strategy));
-  return fp;
-}
+// One level of the loop as the driver hands it to an engine. The split
+// decision fills in phase order: the engine's find_splits writes this
+// rank's candidates into `best`, the driver min-reduces them and sets
+// `will_split`, the engine's map_categorical fills `value_to_child`, and
+// the driver sets `kid_offset`: node i's (child, class) counts fill
+// [kid_offset[i], kid_offset[i + 1]).
+class Level {
+ public:
+  Level(mp::Comm& comm, int index, const std::vector<ActiveNode>& active);
 
-// A mismatch would otherwise corrupt results silently (e.g. misaligned
-// count-matrix reductions), so every engine compares fingerprints up front.
-inline void verify_spmd_fingerprint(mp::Comm& comm, std::uint64_t fp) {
-  const std::uint64_t lo = mp::allreduce_value(comm, fp, mp::MinOp{});
-  const std::uint64_t hi = mp::allreduce_value(comm, fp, mp::MaxOp{});
-  if (lo != hi) {
-    throw std::invalid_argument(
-        "induce_tree_distributed: ranks disagree on schema/options/total");
-  }
-}
+  // Closes the open phase span and opens `name`, stamped with this level's
+  // index and its node and record counts.
+  void phase(const char* name);
+  // Bytes attributed to the open span.
+  void set_bytes(std::int64_t bytes) { span_->set_bytes(bytes); }
+  void close() { span_.reset(); }
 
+  const int index;
+  const std::vector<ActiveNode>& active;
+  const std::size_t m;       // active nodes
+  std::int64_t records = 0;  // records under them, over all ranks
+  std::vector<SplitCandidate> best;
+  std::vector<bool> will_split;
+  std::vector<std::vector<std::int32_t>> value_to_child;
+  std::vector<std::size_t> kid_offset;
+
+ private:
+  mp::Comm& comm_;
+  std::optional<PhaseSpan> span_;
+};
+
+// The next level's frontier after the driver grew the tree.
 struct LevelGrowth {
   std::vector<ActiveNode> next_active;
   // child_slot_target[i][slot]: index into next_active, or -1 if the child
@@ -118,68 +102,50 @@ struct LevelGrowth {
   std::vector<std::vector<int>> child_slot_target;
 };
 
-// Creates the children of every splitting node in the tree (identically on
-// every rank — all inputs are global) and builds the next level's active
-// set. Shared verbatim by both engines so the splittability rule and child
-// ordering cannot diverge.
-inline LevelGrowth grow_tree_level(
-    DecisionTree& tree, const std::vector<ActiveNode>& active,
-    const std::vector<SplitCandidate>& best,
-    const std::vector<bool>& will_split, const std::vector<int>& num_children,
-    const std::vector<std::vector<std::int32_t>>& value_to_child,
-    const std::vector<std::size_t>& kid_offset,
-    std::span<const std::int64_t> global_kid_counts, int c,
-    const InductionOptions& options) {
-  const std::size_t m = active.size();
-  LevelGrowth out;
-  out.child_slot_target.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    TreeNode& node = tree.node(active[i].tree_id);
-    if (!will_split[i]) continue;  // node stays a leaf
-    node.is_leaf = false;
-    node.split.attribute = best[i].attribute;
-    node.split.num_children = num_children[i];
-    if (best[i].kind == SplitKind::kContinuous) {
-      node.split.kind = data::AttributeKind::kContinuous;
-      node.split.threshold = best[i].threshold;
-    } else {
-      node.split.kind = data::AttributeKind::kCategorical;
-      node.split.value_to_child = value_to_child[i];
-    }
-    out.child_slot_target[i].assign(static_cast<std::size_t>(num_children[i]),
-                                    -1);
-    for (int slot = 0; slot < num_children[i]; ++slot) {
-      const std::span<const std::int64_t> counts =
-          global_kid_counts.subspan(
-              kid_offset[i] +
-                  static_cast<std::size_t>(slot) * static_cast<std::size_t>(c),
-              static_cast<std::size_t>(c));
-      TreeNode child;
-      child.is_leaf = true;
-      child.class_counts.assign(counts.begin(), counts.end());
-      child.num_records =
-          std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
-      child.majority_class = majority_class(counts);
-      child.depth = active[i].depth + 1;
-      const int child_id = tree.add_node(std::move(child));
-      tree.node(active[i].tree_id).children.push_back(child_id);
-      const TreeNode& stored = tree.node(child_id);
-      const bool splittable = !is_pure(stored.class_counts) &&
-                              stored.num_records >= options.min_split_records &&
-                              stored.depth < options.max_depth;
-      if (splittable) {
-        ActiveNode next;
-        next.tree_id = child_id;
-        next.depth = stored.depth;
-        next.total = stored.num_records;
-        next.class_totals = stored.class_counts;
-        out.child_slot_target[i][static_cast<std::size_t>(slot)] =
-            static_cast<int>(out.next_active.size());
-        out.next_active.push_back(std::move(next));
-      }
-    }
-  }
-  return out;
-}
+// What an engine supplies: the steps that depend on its record layout.
+// Every call is collective.
+class InductionEngine {
+ public:
+  virtual ~InductionEngine() = default;
+
+  // Setup of a fresh run: the local state of the root level (every record
+  // under active node 0) from this rank's block of the training set.
+  virtual void build(const data::Dataset& local_block,
+                     std::int64_t first_rid) = 0;
+  // Setup of a resume: the local state of the checkpointed level, whose
+  // `num_active` active nodes the driver has already restored. Integrity
+  // failures throw CheckpointCorruptError.
+  virtual void restore(const std::string& level_dir,
+                       const CheckpointManifest& manifest,
+                       std::size_t num_active) = 0;
+  // This rank's attribute-list sections of the level about to run (the
+  // shared on-disk format, so either engine restores them).
+  virtual void write_checkpoint(CheckpointRankWriter& writer,
+                                std::size_t num_active) = 0;
+
+  // FindSplit I and II up to this rank's best candidate per active node.
+  virtual void find_splits(Level& level) = 0;
+  // The value -> child mapping of every node splitting on a categorical
+  // attribute, on every rank.
+  virtual void map_categorical(Level& level) = 0;
+  // PerformSplit I: assigns a child to every local record of a splitting
+  // node and counts them by (node, child, class) into `kid_counts`.
+  virtual void perform_split_i(Level& level,
+                               std::vector<std::int64_t>& kid_counts) = 0;
+  // PerformSplit II, after the tree has grown: regroups the local state by
+  // the next level's active nodes.
+  virtual void perform_split_ii(Level& level, const LevelGrowth& growth) = 0;
+
+  // Engine-only run totals for the bound metrics sink.
+  virtual void absorb_metrics(mp::MetricsSnapshot& /*sink*/) const {}
+};
+
+// Engine-only option checks throw std::invalid_argument here.
+std::unique_ptr<InductionEngine> make_exact_engine(
+    mp::Comm& comm, const data::Schema& schema, std::uint64_t total_records,
+    const InductionControls& controls);
+std::unique_ptr<InductionEngine> make_histogram_engine(
+    mp::Comm& comm, const data::Schema& schema, std::uint64_t total_records,
+    const InductionControls& controls);
 
 }  // namespace scalparc::core::internal

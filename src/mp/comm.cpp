@@ -126,6 +126,10 @@ void Comm::fault_level_boundary(int level) {
   }
 }
 
+void Comm::set_in_io(bool in_io) {
+  if (health_monitoring_) hub_.health().set_in_io(rank_, in_io);
+}
+
 void Comm::publish_watermark(int level) {
   if (!health_monitoring_) return;
   hub_.health().advance_watermark(rank_, level);

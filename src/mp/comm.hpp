@@ -144,6 +144,23 @@ class Comm {
   }
   double adaptive_timeout_max_s() const { return adaptive_timeout_max_s_; }
 
+  // RAII: this rank is busy in local disk I/O (a checkpoint write or
+  // restore) and stamps no heartbeats while a write blocks in fsync. While
+  // the scope is open HealthRegistry::alive reports the rank alive, so a
+  // peer waiting on it stretches its adaptive receive deadline instead of
+  // escalating to RecvTimeout; the fixed recv_timeout_s ceiling still
+  // bounds a hung disk. No-op unless health monitoring is on.
+  class IoScope {
+   public:
+    explicit IoScope(Comm& comm) : comm_(comm) { comm_.set_in_io(true); }
+    ~IoScope() { comm_.set_in_io(false); }
+    IoScope(const IoScope&) = delete;
+    IoScope& operator=(const IoScope&) = delete;
+
+   private:
+    Comm& comm_;
+  };
+
   // Tag source for collectives; advanced identically on all ranks.
   std::int64_t next_collective_tag() { return --collective_tag_; }
 
@@ -174,6 +191,8 @@ class Comm {
   void settle_realized_work();
   // Stamp this rank's heartbeat lane (no-op when monitoring is off).
   void heartbeat();
+  // IoScope's bracket (no-op when monitoring is off).
+  void set_in_io(bool in_io);
   // One straggler-evidence probe, called from an expired receive slice.
   // Throws StragglerDetected once the evidence has been sustained.
   void straggler_probe(int src, std::int64_t tag);

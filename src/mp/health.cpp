@@ -158,35 +158,44 @@ void HealthRegistry::advance_watermark(int rank, int level) {
   watermark_advances_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void HealthRegistry::set_blocked(RankLane& l, bool blocked,
+                                 std::chrono::steady_clock::time_point now) {
+  if (blocked && !l.blocked) l.blocked_since = now;
+  if (!blocked && l.blocked) {
+    l.blocked_accum_s += now_busy_s(l.blocked_since, now);
+  }
+  l.blocked = blocked;
+}
+
 void HealthRegistry::on_blocked(int rank) {
   const auto now = std::chrono::steady_clock::now();
   RankLane& l = lane(rank);
   std::lock_guard<std::mutex> lock(l.mu);
-  if (!l.blocked) {
-    l.blocked = true;
-    l.blocked_since = now;
-  }
+  if (!l.in_io) set_blocked(l, true, now);  // else already not busy
 }
 
 void HealthRegistry::on_unblocked(int rank) {
   const auto now = std::chrono::steady_clock::now();
   RankLane& l = lane(rank);
   std::lock_guard<std::mutex> lock(l.mu);
-  if (l.blocked) {
-    l.blocked = false;
-    l.blocked_accum_s += now_busy_s(l.blocked_since, now);
-  }
+  if (!l.in_io) set_blocked(l, false, now);
 }
 
 void HealthRegistry::on_finished(int rank) {
   const auto now = std::chrono::steady_clock::now();
   RankLane& l = lane(rank);
   std::lock_guard<std::mutex> lock(l.mu);
-  if (l.blocked) {
-    l.blocked = false;
-    l.blocked_accum_s += now_busy_s(l.blocked_since, now);
-  }
+  set_blocked(l, false, now);
   l.finished = true;
+}
+
+void HealthRegistry::set_in_io(int rank, bool in_io) {
+  const auto now = std::chrono::steady_clock::now();
+  RankLane& l = lane(rank);
+  std::lock_guard<std::mutex> lock(l.mu);
+  l.in_io = in_io;
+  // Checkpoint I/O is no straggler evidence: a rebalance cannot move it.
+  set_blocked(l, in_io, now);
 }
 
 double HealthRegistry::suspicion(int rank) const {
@@ -216,11 +225,11 @@ bool HealthRegistry::alive(int rank, double* phi_out) const {
   std::lock_guard<std::mutex> lock(l.mu);
   if (!l.beats.primed()) {
     if (phi_out != nullptr) *phi_out = 0.0;
-    return silence_s < kUnprimedAliveWindowS;
+    return l.in_io || silence_s < kUnprimedAliveWindowS;
   }
   const double phi = l.beats.phi(silence_s);
   if (phi_out != nullptr) *phi_out = phi;
-  return phi < options_.phi_threshold;
+  return l.in_io || phi < options_.phi_threshold;
 }
 
 HealthRegistry::Snapshot HealthRegistry::snapshot() const {

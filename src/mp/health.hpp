@@ -27,10 +27,12 @@
 //                rank-death classification of PR 6.
 //
 //   busy time    wall-clock time a rank spent *not* blocked in a receive
-//                (fed by the Hub wait registry). Level-synchronous barriers
-//                equalize wall time per level across ranks, so slowdown is
-//                only visible in the busy-time ratio: while peers idle at a
-//                collective the straggler keeps accumulating busy seconds.
+//                (fed by the Hub wait registry) and not inside checkpoint
+//                I/O (Comm::IoScope), i.e. on work a rebalance can move.
+//                Level-synchronous barriers equalize wall time per level
+//                across ranks, so slowdown is only visible in the busy-time
+//                ratio: while peers idle at a collective the straggler keeps
+//                accumulating busy seconds.
 //
 // Per-channel inter-arrival estimators (fed by Channel::push) additionally
 // derive adaptive per-channel receive timeouts from the observed latency
@@ -159,16 +161,22 @@ class HealthRegistry {
   void advance_watermark(int rank, int level);
 
   // Busy-time ledger, driven by the Hub wait registry: busy = wall since
-  // run start minus time spent blocked in receives.
+  // run start minus time spent blocked in receives or inside disk I/O.
   void on_blocked(int rank);
   void on_unblocked(int rank);
   void on_finished(int rank);
 
+  // Marks `rank` as inside local disk I/O (Comm::IoScope, not nestable).
+  // It cannot heartbeat while it blocks in a write, so alive() vouches for
+  // it, and the interval does not count as busy.
+  void set_in_io(int rank, bool in_io);
+
   // Heartbeat suspicion of `rank` right now; 0 while the estimator is
   // unprimed.
   double suspicion(int rank) const;
-  // A rank is alive when its heartbeat silence scores below the phi
-  // threshold (unprimed lanes fall back to a 1 s grace window).
+  // A rank is alive when it is inside disk I/O or its heartbeat silence
+  // scores below the phi threshold (unprimed lanes fall back to a 1 s grace
+  // window). `phi_out` gets the silence's suspicion either way.
   bool alive(int rank, double* phi_out = nullptr) const;
 
   struct Snapshot {
@@ -202,12 +210,17 @@ class HealthRegistry {
     int level = -1;
     double blocked_accum_s = 0.0;
     std::chrono::steady_clock::time_point blocked_since{};
-    bool blocked = false;
+    bool blocked = false;  // in a not-busy interval: a receive or disk I/O
+    bool in_io = false;
     bool finished = false;
 
     explicit RankLane(const HealthOptions& options)
         : beats(options.window, options.min_samples) {}
   };
+
+  // Opens or closes a not-busy interval of `l`; the caller holds l.mu.
+  static void set_blocked(RankLane& l, bool blocked,
+                          std::chrono::steady_clock::time_point now);
 
   RankLane& lane(int rank) { return *lanes_[static_cast<std::size_t>(rank)]; }
   const RankLane& lane(int rank) const {

@@ -1,19 +1,22 @@
 // Gray-failure health-layer tests: phi-accrual estimator properties,
 // weighted partition apportionment, env/CLI knob hardening, the slow-fault
 // grammar, clean-run false-positive sweeps, adaptive timeouts under
-// oversubscription, the weighted-retile byte-identical differential, and the
-// end-to-end straggler-detect -> rebalance -> (kill-during-rebalance ->
-// shrink) recovery ladder.
+// oversubscription and across disk I/O, the weighted-retile byte-identical
+// differential, and the end-to-end straggler-detect -> rebalance ->
+// (kill-during-rebalance -> shrink) recovery ladder.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -22,6 +25,7 @@
 #include "data/synthetic.hpp"
 #include "mp/fault.hpp"
 #include "mp/health.hpp"
+#include "mp/mailbox.hpp"
 #include "mp/runtime.hpp"
 #include "sort/partition_util.hpp"
 
@@ -294,6 +298,50 @@ TEST(HealthRuntime, AdaptiveTimeoutsSurviveOversubscription) {
       run_options);
   EXPECT_EQ(tree_bytes(report.tree), oracle);
   EXPECT_EQ(report.run.failure_kind, mp::FailureKind::kNone);
+}
+
+// A rank blocked in checkpoint I/O stamps no heartbeats. Inside a
+// Comm::IoScope a peer waiting on it must read it as alive and stretch its
+// adaptive deadline until the message arrives; outside one, the same second
+// of silence escalates to RecvTimeout.
+TEST(HealthRuntime, IoScopeKeepsASilentRankAlive) {
+  const auto run_with_silence = [](bool in_io_scope) {
+    mp::RunOptions options;
+    options.health.adaptive_timeouts = true;
+    return mp::try_run_ranks(
+        2, mp::CostModel::zero(),
+        [in_io_scope](mp::Comm& comm) {
+          // Prime rank 0's heartbeat lane and the 0 -> 1 channel's arrival
+          // estimator with a fast, regular cadence.
+          for (int i = 0; i < 32; ++i) {
+            if (comm.rank() == 0) {
+              comm.send_value<int>(1, 1, i);
+            } else {
+              EXPECT_EQ(comm.recv_value<int>(0, 1), i);
+            }
+          }
+          if (comm.rank() == 0) {
+            {
+              std::optional<mp::Comm::IoScope> io;
+              if (in_io_scope) io.emplace(comm);
+              std::this_thread::sleep_for(std::chrono::seconds(1));
+            }
+            comm.send_value<int>(1, 2, 7);
+          } else {
+            EXPECT_EQ(comm.recv_value<int>(0, 2), 7);
+          }
+        },
+        options);
+  };
+
+  const mp::RunResult inside = run_with_silence(true);
+  EXPECT_FALSE(inside.failed()) << inside.failure_message;
+
+  const mp::RunResult outside = run_with_silence(false);
+  ASSERT_TRUE(outside.failed());
+  EXPECT_EQ(outside.failed_rank, 1);
+  EXPECT_EQ(outside.failure_kind, mp::FailureKind::kTimeout);
+  EXPECT_THROW(std::rethrow_exception(outside.error), mp::RecvTimeout);
 }
 
 TEST(HealthRuntime, WeightedRetileProducesByteIdenticalTrees) {
