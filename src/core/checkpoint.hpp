@@ -194,6 +194,8 @@ class CheckpointRankReader {
         rank_(rank),
         sections_(detail::read_rank_manifest(dir_, rank_)) {}
 
+  int rank() const { return rank_; }
+
   template <typename T>
   std::vector<T> read_section(const std::string& name) {
     const detail::SectionInfo* info = nullptr;
