@@ -256,9 +256,10 @@ void Comm::send_payload(int dst, std::int64_t tag, Payload payload) {
   Channel& channel = hub_.channel(rank_, dst);
   const ReliabilityOptions& reliability = hub_.options().reliability;
   if (reliability.enabled) {
-    // Sequence and retain a clean copy *before* wire faults touch the
+    // Sequence and retain the clean frame *before* wire faults touch the
     // message: whatever the wire does, the receiver can always be given
-    // back exactly what was sent.
+    // back exactly what was sent. The in-flight buffer shares the payload
+    // buffer; a corrupt fault below writes a private copy.
     message.seq = channel.assign_seq();
     channel.record_inflight(message);
   }
@@ -489,6 +490,8 @@ Payload Comm::recv_payload(int src, std::int64_t tag) {
       throw CorruptMessage(what_out.str());
     }
     if (reliability.enabled && message.seq != 0) {
+      // Releases the in-flight handle on this frame, so the caller's take<T>
+      // reclaims the sender's buffer without a copy.
       channel.acknowledge(message.seq);
     }
     if (message.arrival_vtime > vtime_) vtime_ = message.arrival_vtime;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 
 namespace scalparc::mp {
@@ -111,14 +110,13 @@ std::uint64_t Channel::assign_seq() {
 void Channel::record_inflight(const Message& message) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (inflight_.size() >= inflight_cap_) inflight_.pop_front();
-  Inflight copy;
-  copy.seq = message.seq;
-  copy.tag = message.tag;
-  copy.arrival_vtime = message.arrival_vtime;
-  copy.crc = message.crc;
-  const std::span<const std::byte> bytes = message.payload.bytes();
-  copy.bytes.assign(bytes.begin(), bytes.end());
-  inflight_.push_back(std::move(copy));
+  Inflight frame;
+  frame.seq = message.seq;
+  frame.tag = message.tag;
+  frame.arrival_vtime = message.arrival_vtime;
+  frame.crc = message.crc;
+  frame.payload = message.payload.share();
+  inflight_.push_back(std::move(frame));
 }
 
 void Channel::set_inflight_cap(std::size_t cap) {
@@ -157,13 +155,13 @@ void Channel::acknowledge(std::uint64_t seq) {
   }
 }
 
-void Channel::requeue_locked(const Inflight& copy) {
+void Channel::requeue_locked(const Inflight& frame) {
   Message message;
-  message.tag = copy.tag;
-  message.seq = copy.seq;
-  message.arrival_vtime = copy.arrival_vtime;
-  message.crc = copy.crc;
-  message.payload = Payload::copy_of(copy.bytes);
+  message.tag = frame.tag;
+  message.seq = frame.seq;
+  message.arrival_vtime = frame.arrival_vtime;
+  message.crc = frame.crc;
+  message.payload = frame.payload.share();
   queue_.push_back(std::move(message));
   ++stats_.retransmits;
 }
@@ -173,9 +171,9 @@ bool Channel::nack_retransmit(std::uint64_t seq) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.nacks;
-    for (const Inflight& copy : inflight_) {
-      if (copy.seq == seq) {
-        requeue_locked(copy);
+    for (const Inflight& frame : inflight_) {
+      if (frame.seq == seq) {
+        requeue_locked(frame);
         requeued = true;
         break;
       }
@@ -189,17 +187,17 @@ bool Channel::request_retransmit(std::int64_t tag) {
   bool requeued = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Inflight& copy : inflight_) {
-      if (copy.tag != tag || accepted_locked(copy.seq)) continue;
-      // A copy whose frame is still queued is merely awaiting its pop; only
-      // a vanished (dropped) frame needs retransmission. Spurious requeues
+    for (const Inflight& frame : inflight_) {
+      if (frame.tag != tag || accepted_locked(frame.seq)) continue;
+      // A frame that is still queued is merely awaiting its pop; only a
+      // vanished (dropped) frame needs retransmission. Spurious requeues
       // would be absorbed by dedupe anyway, but skipping them keeps the
       // retransmit counter an honest measure of healing work.
       const bool queued = std::any_of(
           queue_.begin(), queue_.end(),
-          [&copy](const Message& m) { return m.seq == copy.seq; });
+          [&frame](const Message& m) { return m.seq == frame.seq; });
       if (queued) continue;
-      requeue_locked(copy);
+      requeue_locked(frame);
       requeued = true;
       break;
     }

@@ -15,13 +15,15 @@
 // diagnostic (DeadlockDetected), or gives up (RecvTimeout).
 //
 // Reliability (ack/retransmit): when enabled, every send carries a per-channel
-// monotone sequence number and the sender side of the channel retains a clean
-// byte copy of each unacknowledged message (bounded in-flight buffer). A
-// receiver that pops a frame failing its CRC nacks it by sequence number
-// (the clean copy is re-queued); a receiver whose wait times out requests a
-// retransmit by tag. Accepted sequence numbers are tracked (compacted
-// watermark + out-of-order set) so retransmit races and an injected
-// `duplicate` fault are absorbed by dedupe instead of being delivered twice.
+// monotone sequence number and the sender side of the channel retains a
+// shared handle on the clean frame of each unacknowledged message (bounded
+// in-flight buffer) — no bytes are copied; an injected corruption writes a
+// private copy of the frame instead (Payload::mutable_bytes). A receiver that
+// pops a frame failing its CRC nacks it by sequence number (the clean frame
+// is re-queued); a receiver whose wait times out requests a retransmit by
+// tag. Accepted sequence numbers are tracked (compacted watermark +
+// out-of-order set) so retransmit races and an injected `duplicate` fault
+// are absorbed by dedupe instead of being delivered twice.
 #pragma once
 
 #include <chrono>
@@ -33,7 +35,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "mp/health.hpp"
 #include "mp/message.hpp"
@@ -63,7 +64,7 @@ struct DeadlockDetected : std::runtime_error {
 
 // Reliability counters of one channel (or an aggregate over channels).
 struct ChannelStats {
-  // Clean copies re-queued from the in-flight buffer (nack- or timer-driven).
+  // Clean frames re-queued from the in-flight buffer (nack- or timer-driven).
   std::uint64_t retransmits = 0;
   // CRC-mismatch nacks raised by the receiver.
   std::uint64_t nacks = 0;
@@ -117,26 +118,29 @@ class Channel {
 
   // --- reliability (ack/retransmit) protocol --------------------------
   // Sender side. assign_seq hands out the next per-channel sequence number;
-  // record_inflight retains a clean byte copy of `message` (call it with the
-  // CRC-framed message *before* wire faults are applied) in a bounded buffer
-  // — when the buffer is full the oldest copy is evicted and can no longer
-  // be retransmitted.
+  // record_inflight retains a shared handle on the payload of `message`
+  // (call it with the CRC-framed message *before* wire faults are applied)
+  // in a bounded buffer — when the buffer is full the oldest frame is
+  // evicted and can no longer be retransmitted. Acknowledging a frame
+  // releases the retained handle, so a receiver that holds the only other
+  // one reclaims the buffer without a copy.
   std::uint64_t assign_seq();
   void record_inflight(const Message& message);
   void set_inflight_cap(std::size_t cap);
 
   // Receiver side. discard_if_duplicate returns true (and counts a dupe) if
   // `seq` was already accepted. acknowledge marks `seq` accepted and releases
-  // its in-flight copy. nack_retransmit re-queues the clean copy of `seq`
+  // its in-flight frame. nack_retransmit re-queues the clean frame of `seq`
   // (CRC-mismatch recovery); request_retransmit re-queues the oldest
-  // unacknowledged copy with `tag` that is not currently queued (lost-message
-  // recovery). Both return false when no retransmittable copy exists.
+  // unacknowledged frame with `tag` that is not currently queued
+  // (lost-message recovery). Both queue another handle on the retained
+  // buffer and return false when no retransmittable frame exists.
   bool discard_if_duplicate(std::uint64_t seq);
   void acknowledge(std::uint64_t seq);
   bool nack_retransmit(std::uint64_t seq);
   bool request_retransmit(std::int64_t tag);
 
-  // Deadlock-detector probe: true if a retransmittable copy with this tag is
+  // Deadlock-detector probe: true if a retransmittable frame with this tag is
   // buffered, i.e. a blocked receiver can still heal the channel itself.
   bool can_retransmit(std::int64_t tag) const;
 
@@ -155,22 +159,24 @@ class Channel {
   double adaptive_timeout_s(double phi_threshold) const;
 
  private:
-  // A clean (pre-fault) byte copy of an unacknowledged message.
+  // The clean (pre-fault) frame of an unacknowledged message: its header and
+  // a shared handle on the payload buffer the sender moved onto the wire.
   struct Inflight {
     std::uint64_t seq = 0;
     std::int64_t tag = 0;
     double arrival_vtime = 0.0;
     std::uint32_t crc = 0;
-    std::vector<std::byte> bytes;
+    Payload payload;
   };
 
   // Caller must hold mutex_. Returns true and fills `out` on a tag match.
   bool take_locked(std::int64_t tag, Message& out);
   // Caller must hold mutex_. True if `seq` is in the accepted set.
   bool accepted_locked(std::uint64_t seq) const;
-  // Caller must hold mutex_. Rebuilds a Message from an in-flight copy and
-  // queues it (the caller notifies ready_ after releasing the lock).
-  void requeue_locked(const Inflight& copy);
+  // Caller must hold mutex_. Rebuilds a Message around another handle on an
+  // in-flight frame and queues it (the caller notifies ready_ after releasing
+  // the lock).
+  void requeue_locked(const Inflight& frame);
 
   mutable std::mutex mutex_;
   std::condition_variable ready_;

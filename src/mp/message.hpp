@@ -1,6 +1,7 @@
 // Wire-level message for the in-process message-passing runtime.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,12 @@ namespace scalparc::mp {
 // for the same element type reclaims the very same vector (take) — the
 // bytes are never duplicated. A receiver asking for a different type (or a
 // sender that only holds a borrowed span) pays exactly one copy.
+//
+// The buffer is reference counted so that the reliability layer can keep a
+// second handle on a sent frame (share) instead of a byte copy. Handles are
+// copy-on-write: a writer whose buffer is shared (mutable_bytes) or a taker
+// that is not the sole owner (take) copies first, so no handle ever sees the
+// bytes change under it.
 class Payload {
  public:
   Payload() = default;
@@ -31,11 +38,11 @@ class Payload {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Payload elements must be trivially copyable");
     Payload p;
-    auto* held = new std::vector<T>(std::move(values));
-    p.owner_ = Owner(held, [](void* v) { delete static_cast<std::vector<T>*>(v); });
+    auto held = std::make_shared<std::vector<T>>(std::move(values));
     p.data_ = reinterpret_cast<std::byte*>(held->data());
     p.size_ = held->size() * sizeof(T);
     p.type_ = &typeid(T);
+    p.owner_ = std::move(held);
     return p;
   }
 
@@ -44,20 +51,36 @@ class Payload {
     return adopt(std::vector<std::byte>(bytes.begin(), bytes.end()));
   }
 
+  // A second handle on the same buffer; no bytes are copied.
+  Payload share() const {
+    Payload p;
+    p.owner_ = owner_;
+    p.data_ = data_;
+    p.size_ = size_;
+    p.type_ = type_;
+    return p;
+  }
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::span<const std::byte> bytes() const { return {data_, size_}; }
-  // Mutable view for in-flight fault injection (payload corruption).
-  std::span<std::byte> mutable_bytes() { return {data_, size_}; }
+  // Mutable view for in-flight fault injection (payload corruption). A
+  // shared buffer is copied first, so the write never reaches another
+  // handle (the reliability layer's clean frame).
+  std::span<std::byte> mutable_bytes() {
+    if (owner_ && !sole_owner()) *this = copy_of(bytes());
+    return {data_, size_};
+  }
 
-  // Surrenders the payload as a vector<T>. If the payload was adopted from a
-  // vector of exactly T this moves it back out (zero-copy); otherwise it
-  // deserializes with one copy. Trailing bytes that do not fill a whole T
-  // are discarded, matching the historical recv<T> contract.
+  // Surrenders the payload as a vector<T>. If this handle is the buffer's
+  // sole owner and it was adopted from a vector of exactly T, this moves it
+  // back out (zero-copy); otherwise it deserializes with one copy and leaves
+  // any other handle intact. Trailing bytes that do not fill a whole T are
+  // discarded, matching the historical recv<T> contract.
   template <typename T>
   std::vector<T> take() {
     std::vector<T> out;
-    if (owner_ && type_ != nullptr && *type_ == typeid(T)) {
+    if (owner_ && type_ != nullptr && *type_ == typeid(T) && sole_owner()) {
       out = std::move(*static_cast<std::vector<T>*>(owner_.get()));
     } else {
       out.resize(size_ / sizeof(T));
@@ -71,8 +94,16 @@ class Payload {
   }
 
  private:
-  using Owner = std::unique_ptr<void, void (*)(void*)>;
-  Owner owner_{nullptr, [](void*) {}};
+  // True if no other handle shares the buffer. use_count() is a relaxed
+  // read; the acquire fence orders this handle's next writes after every
+  // access a released handle made on another thread.
+  bool sole_owner() const {
+    if (owner_.use_count() != 1) return false;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return true;
+  }
+
+  std::shared_ptr<void> owner_;
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   const std::type_info* type_ = nullptr;

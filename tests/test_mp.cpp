@@ -1,17 +1,24 @@
-// Unit tests for the message-passing runtime: point-to-point, every
-// collective against a serial oracle for a sweep of rank counts, the cost
-// model's virtual clock, statistics accounting, and failure handling.
+// Unit tests for the message-passing runtime: point-to-point, the frame
+// checksum, payload sharing, every collective against a serial oracle for a
+// sweep of rank counts, the cost model's virtual clock, statistics
+// accounting, and failure handling.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "mp/collectives.hpp"
 #include "mp/comm.hpp"
 #include "mp/costmodel.hpp"
+#include "mp/mailbox.hpp"
+#include "mp/message.hpp"
 #include "mp/runtime.hpp"
+#include "util/crc32.hpp"
 
 namespace scalparc {
 namespace {
@@ -67,6 +74,27 @@ TEST(MpP2P, BadDestinationThrows) {
                std::invalid_argument);
 }
 
+TEST(MpP2P, MoveSentVectorArrivesWithoutCopy) {
+  // The reliability layer retains every frame until it is acknowledged; the
+  // retained handle must not turn the move-send into a copy.
+  ASSERT_TRUE(mp::RunOptions{}.reliability.enabled);
+  static constexpr std::size_t kCount = (std::size_t{1} << 20) / sizeof(std::int64_t);
+  const void* sent_at = nullptr;
+  mp::run_ranks(2, kZero, [&sent_at](mp::Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<std::int64_t> values(kCount);
+      std::iota(values.begin(), values.end(), std::int64_t{0});
+      sent_at = values.data();
+      comm.send<std::int64_t>(1, 3, std::move(values));
+    } else {
+      const std::vector<std::int64_t> got = comm.recv<std::int64_t>(0, 3);
+      EXPECT_EQ(static_cast<const void*>(got.data()), sent_at);
+      ASSERT_EQ(got.size(), kCount);
+      EXPECT_EQ(got.back(), static_cast<std::int64_t>(kCount - 1));
+    }
+  });
+}
+
 TEST(MpRuntime, ExceptionPropagatesAndPeersUnblock) {
   // Rank 1 dies; rank 0 is blocked in recv and must be woken via poisoning.
   EXPECT_THROW(mp::run_ranks(2, kZero,
@@ -82,6 +110,142 @@ TEST(MpRuntime, ExceptionPropagatesAndPeersUnblock) {
 
 TEST(MpRuntime, RejectsNonPositiveRankCount) {
   EXPECT_THROW(mp::run_ranks(0, kZero, [](mp::Comm&) {}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Frame checksum (CRC-32/IEEE)
+// ---------------------------------------------------------------------------
+
+// Bit-at-a-time CRC-32 over one byte at a time: the definition the table
+// kernel must reproduce.
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> seeded_bytes(std::size_t n) {
+  std::mt19937 gen(12345);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(gen());
+  return bytes;
+}
+
+TEST(FrameChecksum, StandardCheckValue) {
+  const char text[] = "123456789";
+  EXPECT_EQ(util::crc32(text, 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(std::as_bytes(std::span(text, 9))), 0xCBF43926u);
+}
+
+TEST(FrameChecksum, EmptyInputWithSeedZeroIsZero) {
+  EXPECT_EQ(util::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(util::crc32(std::span<const std::byte>{}), 0u);
+}
+
+TEST(FrameChecksum, MatchesReferenceAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> buffer = seeded_bytes(300 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(util::crc32(start, len), reference_crc32(start, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(FrameChecksum, SeededChunksEqualOnePass) {
+  // TypedWriter/TypedReader checksum a stream chunk by chunk through the
+  // seed; every split point across the 16-byte block boundary must agree.
+  const std::vector<unsigned char> buffer = seeded_bytes(80);
+  for (std::size_t len = 0; len < 80; ++len) {
+    const std::uint32_t whole = util::crc32(buffer.data(), len);
+    for (std::size_t split = 0; split <= len; ++split) {
+      const std::uint32_t head = util::crc32(buffer.data(), split);
+      ASSERT_EQ(util::crc32(buffer.data() + split, len - split, head), whole)
+          << "length " << len << " split " << split;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Payload sharing
+// ---------------------------------------------------------------------------
+
+std::vector<std::int64_t> ramp(std::size_t n) {
+  std::vector<std::int64_t> values(n);
+  std::iota(values.begin(), values.end(), std::int64_t{100});
+  return values;
+}
+
+TEST(PayloadSharing, SoleOwnerWritesInPlace) {
+  mp::Payload payload = mp::Payload::adopt(ramp(8));
+  const std::byte* before = payload.bytes().data();
+  EXPECT_EQ(payload.mutable_bytes().data(), before);
+}
+
+TEST(PayloadSharing, WriteThroughOneHandleLeavesTheOtherUnchanged) {
+  const std::vector<std::int64_t> expected = ramp(8);
+  mp::Payload clean = mp::Payload::adopt(ramp(8));
+  mp::Payload wire = clean.share();
+  ASSERT_EQ(wire.bytes().data(), clean.bytes().data());
+
+  const std::span<std::byte> written = wire.mutable_bytes();
+  ASSERT_EQ(written.size(), expected.size() * sizeof(std::int64_t));
+  written[0] ^= std::byte{0xFF};
+
+  EXPECT_NE(wire.bytes().data(), clean.bytes().data());
+  EXPECT_EQ(clean.take<std::int64_t>(), expected);
+  EXPECT_NE(wire.take<std::int64_t>(), expected);
+}
+
+TEST(PayloadSharing, TakeOnSharedPayloadCopies) {
+  const std::vector<std::int64_t> expected = ramp(16);
+  mp::Payload first = mp::Payload::adopt(ramp(16));
+  mp::Payload second = first.share();
+  const std::byte* buffer = first.bytes().data();
+
+  const std::vector<std::int64_t> copied = second.take<std::int64_t>();
+  EXPECT_EQ(copied, expected);
+  EXPECT_NE(static_cast<const void*>(copied.data()), buffer);
+  EXPECT_TRUE(second.empty());
+
+  // The other handle is still readable and, now the sole owner, reclaims the
+  // original vector without a copy.
+  ASSERT_EQ(first.size(), expected.size() * sizeof(std::int64_t));
+  EXPECT_EQ(first.bytes().data(), buffer);
+  const std::vector<std::int64_t> moved = first.take<std::int64_t>();
+  EXPECT_EQ(moved, expected);
+  EXPECT_EQ(static_cast<const void*>(moved.data()), buffer);
+}
+
+TEST(PayloadSharing, RetainedFrameIsTheSentBuffer) {
+  // The in-flight buffer holds a handle on the sent frame, not a copy: a
+  // retransmission carries the very same bytes, and once the frame is
+  // acknowledged the receiver's handle is the sole owner again.
+  mp::Channel channel;
+  mp::Message sent;
+  sent.tag = 5;
+  sent.seq = channel.assign_seq();
+  sent.payload = mp::Payload::adopt(ramp(32));
+  const std::byte* buffer = sent.payload.bytes().data();
+  channel.record_inflight(sent);
+  channel.push(std::move(sent));
+
+  mp::Message first = channel.pop(5);
+  ASSERT_TRUE(channel.nack_retransmit(first.seq));
+  mp::Message again = channel.pop(5);
+  EXPECT_EQ(again.payload.bytes().data(), buffer);
+  EXPECT_EQ(channel.stats().retransmits, 1u);
+
+  channel.acknowledge(first.seq);
+  EXPECT_FALSE(channel.can_retransmit(5));
+  again = mp::Message{};
+  const std::vector<std::int64_t> got = first.payload.take<std::int64_t>();
+  EXPECT_EQ(got, ramp(32));
+  EXPECT_EQ(static_cast<const void*>(got.data()), buffer);
 }
 
 // ---------------------------------------------------------------------------
