@@ -225,6 +225,11 @@ std::vector<Fixture> fixtures() {
   add(kHistogramCheckpointFixture, f2, histogram);
   add("quest_f7_mixed_histogram", f7, histogram);
   add("duplicate_grid_histogram", duplicate_grid, histogram);
+  add("f7_subset_entropy_histogram", f7, [](InductionControls& c) {
+    c = histogram_controls();
+    c.options.categorical_split = core::CategoricalSplit::kBinarySubset;
+    c.options.criterion = core::SplitCriterion::kEntropy;
+  });
   add("quest_f7_mixed_voting", f7, [](InductionControls& c) {
     c = histogram_controls();
     c.options.split_mode = core::SplitMode::kVoting;
