@@ -17,9 +17,14 @@
 // A second table overlays the SplitCommModel analytic predictors (see
 // mp/costmodel.hpp) against measured per-level bytes for the three split
 // modes: the O(N/p) exact shape, and the N-independent O(attrs x bins) /
-// O(2k x bins) shapes of the quantized engines.
+// O(2k x bins) shapes of the quantized engines. With --check the run exits
+// non-zero when a histogram-mode ratio leaves [0.95, 1.05] at any processor
+// count, so an engine change cannot drift the model silently (the `perf`
+// ctest label runs it). The exact and voting rows are shapes and stay
+// unchecked.
 //
 //   ./comm_model [--csv DIR] [--records N] [--depth D] [--bins B] [--top-k K]
+//                [--check]
 #include <algorithm>
 #include <cstdio>
 
@@ -90,7 +95,9 @@ int main(int argc, char** argv) {
   const int depth = static_cast<int>(args.get_int("depth", 6));
   const int bins = static_cast<int>(args.get_int("bins", 64));
   const int top_k = static_cast<int>(args.get_int("top-k", 2));
+  const bool check = args.has("check");
   const data::QuestGenerator generator = bench::paper_generator(1);
+  int drifted = 0;
 
   std::printf(
       "\nsplit-mode level-1 bytes/rank, SplitCommModel predicted vs measured\n"
@@ -138,9 +145,13 @@ int main(int argc, char** argv) {
       }
       const auto measured =
           static_cast<double>(level1.max_bytes_sent_per_rank);
+      const double ratio = measured > 0.0 ? predicted / measured : 0.0;
       std::printf("%6d %10s %14.0f %14.0f %8.2f\n", p, mode, predicted,
-                  measured, measured > 0.0 ? predicted / measured : 0.0);
+                  measured, ratio);
       csv.row("model_%s,%d,%.0f,%.0f", mode, p, predicted, measured);
+      if (mode_name == "histogram" && (ratio < 0.95 || ratio > 1.05)) {
+        ++drifted;
+      }
     }
   }
   std::printf(
@@ -148,5 +159,14 @@ int main(int argc, char** argv) {
       "predictors depend only on attrs x bins x classes (x the elected\n"
       "fraction for voting) — matching the flat curves in BENCH_comm.json.\n");
   std::printf("\nCSV written to %s\n", csv.path().c_str());
+  if (check) {
+    if (drifted > 0) {
+      std::fprintf(stderr,
+                   "check failed: %d histogram ratio(s) outside [0.95, 1.05]\n",
+                   drifted);
+      return 1;
+    }
+    std::printf("check OK: every histogram ratio within [0.95, 1.05]\n");
+  }
   return 0;
 }

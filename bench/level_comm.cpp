@@ -1,6 +1,6 @@
 // Per-level communication structure across split modes.
 //
-// Two claims in one document. First, the exact engine's split determination
+// Three claims in one document. First, the exact engine's split determination
 // packs every attribute list's collectives into O(1) CollectiveBatch rounds
 // per level (see DESIGN.md, "Collective fusion"), so each exact level stays
 // under a fixed collective-call bound whatever the attribute count. Second,
@@ -11,7 +11,9 @@
 // fitted at two record scales (N and 2N) so the flatness claim is checkable
 // from the document itself, and the quantized modes record their
 // winner-attribute agreement and holdout-accuracy delta against the exact
-// engine's tree on the same training set.
+// engine's tree on the same training set. Third, the owner-rank merge:
+// the busiest rank of every histogram and voting run sends at most
+// kMaxMergeSendRatio times the histogram bytes one rank packs.
 //
 //   ./level_comm [--records N] [--procs 2,4,8,16] [--depth D] [--seed S]
 //                [--bins B] [--top-k K]
@@ -21,12 +23,13 @@
 // --out writes the machine-readable JSON document; --validate re-parses a
 // document (the one just written, or any existing one) and checks its
 // schema plus the headline claims — at most kMaxExactLevelCalls collective
-// calls in every exact-mode level, and histogram-mode first-level bytes
-// flat in the record count while the exact engine's grow with it — exiting
-// non-zero on violation. --compare checks that this run reproduces a
-// committed document field by field (see count_differences). The `perf`
-// ctest label runs this at tiny scale as a smoke test, and compares a run
-// with the committed BENCH_comm.json.
+// calls in every exact-mode level, histogram-mode first-level bytes flat
+// in the record count while the exact engine's grow with it, and the merge
+// send bound of every quantized run — exiting non-zero on violation.
+// --compare checks that this run reproduces a committed document field by
+// field (see count_differences). The `perf` ctest label runs this at tiny
+// scale as a smoke test, and compares a run with the committed
+// BENCH_comm.json.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -57,6 +60,12 @@ using scalparc::util::Json;
 // list would need 35 at 7 attributes). The same bound as test_induction's
 // CollectiveFusion.FusedCollectiveCallsConstantInAttributeCount.
 constexpr std::int64_t kMaxExactLevelCalls = 16;
+
+// Whole-run bytes the busiest rank of a histogram or voting run may send,
+// over the histogram bytes one rank packs. An owner-rank merge sends each
+// peer only its chunk (committed runs read 0.55-1.12); a replicated merge
+// (reduce to one rank, then broadcast) reads about log2(p).
+constexpr double kMaxMergeSendRatio = 1.25;
 
 struct RunRow {
   int procs = 0;
@@ -216,8 +225,21 @@ bool validate(const Json& doc) {
         if (snapshot.value("comm.bytes_sent") <= 0.0) {
           return complain("details.metrics lacks comm.bytes_sent");
         }
-        if (mode != "exact" && snapshot.value("comm.histogram_bytes") <= 0.0) {
+        const double histogram_bytes = snapshot.value("comm.histogram_bytes");
+        if (mode != "exact" && histogram_bytes <= 0.0) {
           return complain("quantized run lacks comm.histogram_bytes");
+        }
+        // Claim 3: each merged histogram has one owner rank, so the busiest
+        // rank of a quantized run sends at most kMaxMergeSendRatio times the
+        // histogram bytes one rank packs (the counter sums every rank's).
+        const double ratio =
+            static_cast<double>(run.at("max_bytes_sent_per_rank").as_int()) /
+            (histogram_bytes / procs);
+        if (mode != "exact" && ratio > kMaxMergeSendRatio) {
+          return complain("busiest rank sends " + std::to_string(ratio) +
+                          "x its packed histogram bytes at p=" +
+                          std::to_string(procs) + " (" + mode + ", bound " +
+                          std::to_string(kMaxMergeSendRatio) + ")");
         }
       }
     }

@@ -90,13 +90,24 @@ struct RowWire {
   std::int32_t node = 0;  // active-node index
 };
 
-int owner_of_rid(std::int64_t rid, std::uint64_t total, int p) {
+// The equal block partition of [0, total) over p ranks, the first total % p
+// blocks one longer: it tiles record ids into row blocks, and each list's
+// elected nodes into histogram owner chunks. block_begin(total, p, p) is
+// total.
+std::size_t block_begin(std::size_t total, int p, int r) {
+  const auto ur = static_cast<std::size_t>(r);
+  const std::size_t base = total / static_cast<std::size_t>(p);
+  return ur * base + std::min(ur, total % static_cast<std::size_t>(p));
+}
+
+// The rank whose block holds `index` (0 <= index < total).
+int block_owner(std::int64_t index, std::uint64_t total, int p) {
   const auto t = static_cast<std::int64_t>(total);
   const std::int64_t base = t / p;
   const std::int64_t extra = t % p;
   const std::int64_t boundary = (base + 1) * extra;
-  if (rid < boundary) return static_cast<int>(rid / (base + 1));
-  return static_cast<int>(extra + (rid - boundary) / base);
+  if (index < boundary) return static_cast<int>(index / (base + 1));
+  return static_cast<int>(extra + (index - boundary) / base);
 }
 
 class HistogramEngine final : public internal::InductionEngine {
@@ -114,7 +125,8 @@ class HistogramEngine final : public internal::InductionEngine {
         voting_(options_.split_mode == SplitMode::kVoting),
         num_attrs_(schema.num_attributes()),
         slot_of_attr_(static_cast<std::size_t>(num_attrs_), -1),
-        batch_(comm) {
+        batch_(comm),
+        map_batch_(comm) {
     if (bins_ < 2) {
       throw std::invalid_argument(
           "induce_tree_distributed: hist_bins must be >= 2");
@@ -124,7 +136,7 @@ class HistogramEngine final : public internal::InductionEngine {
           "induce_tree_distributed: top_k must be >= 1");
     }
     if (controls.checkpoint.weighted()) {
-      // Record ownership is structural here (owner_of_rid tiles [0, total)
+      // Record ownership is structural here (block_owner tiles [0, total)
       // uniformly), so a weighted restore cannot steer work away from a
       // slow rank. Reject loudly instead of silently ignoring the rebalance
       // request.
@@ -207,6 +219,27 @@ class HistogramEngine final : public internal::InductionEngine {
              2 * sizeof(std::int32_t)));
   }
 
+  // Adds `n` rows of `width` elements each to batch_ as one segment per
+  // non-empty owner chunk (block_begin over the rows), rooted at the
+  // chunk's owner. Returns this rank's segment when its chunk is non-empty.
+  template <typename T, typename Combine>
+  std::size_t add_owner_chunks(const std::vector<T>& rows, std::size_t n,
+                               std::size_t width, Combine combine,
+                               const T& identity) {
+    const int p = comm_.size();
+    std::size_t own = std::numeric_limits<std::size_t>::max();
+    for (int r = 0; r < p; ++r) {
+      const std::size_t lo = block_begin(n, p, r);
+      const std::size_t hi = block_begin(n, p, r + 1);
+      if (lo == hi) continue;
+      const std::size_t seg = batch_.add<T>(
+          std::span<const T>(rows).subspan(lo * width, (hi - lo) * width),
+          combine, identity, r);
+      if (r == comm_.rank()) own = seg;
+    }
+    return own;
+  }
+
   mp::Comm& comm_;
   const InductionOptions& options_;
   const std::uint64_t total_records_;
@@ -246,7 +279,11 @@ class HistogramEngine final : public internal::InductionEngine {
   std::vector<std::vector<std::size_t>> elected_nodes_;
   std::vector<std::int64_t> merge_counts_scratch_;
   std::vector<double> merge_min_scratch_;
+  // This rank's merged chunk per list: a segment of batch_ after round 2,
+  // defined only where the chunk is non-empty.
   std::vector<std::size_t> seg_counts_, seg_min_, seg_cat_;
+  mp::CollectiveBatch map_batch_;          // categorical mappings
+  std::vector<std::size_t> mapped_nodes_;  // node of each map_batch_ segment
   std::vector<std::int32_t> child_of_row_;
   std::uint64_t histogram_bytes_total_ = 0;
   std::uint64_t vote_bytes_total_ = 0;
@@ -299,7 +336,7 @@ void HistogramEngine::restore(const std::string& level_dir,
         w.cls = e.cls;
         w.node = static_cast<std::int32_t>(i);
         sendbufs[static_cast<std::size_t>(
-                     owner_of_rid(e.rid, total_records_, p))]
+                     block_owner(e.rid, total_records_, p))]
             .push_back(w);
       }
     }
@@ -573,9 +610,11 @@ void HistogramEngine::find_splits(Level& level) {
     }
   }
 
-  // Round 2: merge the elected histograms / count matrices, packed into one
-  // allreduce. The elected sets derive from global data, so every rank
-  // builds the identical segment directory.
+  // Round 2: merge each elected histogram / count matrix at one owner rank.
+  // Every list's elected nodes are cut into p contiguous chunks, chunk r
+  // owned by rank r, and one rooted reduce sends each peer only its chunk.
+  // The elected sets derive from global data, so every rank builds the
+  // identical segment directory.
   batch_.reset();
   for (std::size_t li = 0; li < num_cont_ + num_cat_; ++li) {
     const int attr =
@@ -600,12 +639,12 @@ void HistogramEngine::find_splits(Level& level) {
       std::copy_n(cont_bin_min_.data() + (li * m + i) * ubins, ubins,
                   merge_min_scratch_.data() + k * ubins);
     }
-    seg_counts_[li] = batch_.add<std::int64_t>(
-        std::span<const std::int64_t>(merge_counts_scratch_), mp::SumOp{},
-        std::int64_t{0});
-    seg_min_[li] = batch_.add<double>(
-        std::span<const double>(merge_min_scratch_), mp::MinOp{},
-        std::numeric_limits<double>::infinity());
+    seg_counts_[li] =
+        add_owner_chunks(merge_counts_scratch_, nodes.size(), ubins * uc,
+                         mp::SumOp{}, std::int64_t{0});
+    seg_min_[li] =
+        add_owner_chunks(merge_min_scratch_, nodes.size(), ubins, mp::MinOp{},
+                         std::numeric_limits<double>::infinity());
   }
   for (std::size_t li = 0; li < num_cat_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
@@ -616,28 +655,32 @@ void HistogramEngine::find_splits(Level& level) {
       std::copy_n(cat_counts_.data() + cat_counts_begin_[li] + i * card * uc,
                   card * uc, merge_counts_scratch_.data() + k * card * uc);
     }
-    seg_cat_[li] = batch_.add<std::int64_t>(
-        std::span<const std::int64_t>(merge_counts_scratch_), mp::SumOp{},
-        std::int64_t{0});
+    seg_cat_[li] = add_owner_chunks(merge_counts_scratch_, nodes.size(),
+                                    card * uc, mp::SumOp{}, std::int64_t{0});
   }
   level.set_bytes(static_cast<std::int64_t>(batch_.packed_bytes()));
   histogram_bytes_total_ += batch_.packed_bytes();
-  batch_.allreduce();
+  batch_.reduce_rooted();
 
-  // ---------------- FindSplitII: evaluate the merged histograms ----------
-  // Every rank evaluates identical global inputs, so the driver's closing
-  // min-allreduce is a pure SPMD-divergence guard here.
+  // ---------------- FindSplitII: score the owned histograms --------------
+  // Each rank scores only the chunks it owns; the driver's closing
+  // min-allreduce picks every node's winner among its owners' candidates.
   level.phase("findsplit_ii");
+  const int p = comm_.size();
+  const int rank = comm_.rank();
   std::vector<SplitCandidate>& best = level.best;
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[li];
+    const std::size_t lo = block_begin(nodes.size(), p, rank);
+    const std::size_t hi = block_begin(nodes.size(), p, rank + 1);
+    if (lo == hi) continue;
     const std::span<const std::int64_t> counts =
         batch_.view<std::int64_t>(seg_counts_[li]);
     const std::span<const double> mins = batch_.view<double>(seg_min_[li]);
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
+    for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = nodes[k];
-      best_histogram_split(counts.subspan(k * ubins * uc, ubins * uc),
-                           mins.subspan(k * ubins, ubins),
+      best_histogram_split(counts.subspan((k - lo) * ubins * uc, ubins * uc),
+                           mins.subspan((k - lo) * ubins, ubins),
                            level.active[i].class_totals, bins_,
                            options_.criterion,
                            static_cast<std::int32_t>(cont_attr_[li]), best[i]);
@@ -646,13 +689,16 @@ void HistogramEngine::find_splits(Level& level) {
   }
   for (std::size_t li = 0; li < num_cat_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
+    const std::size_t lo = block_begin(nodes.size(), p, rank);
+    const std::size_t hi = block_begin(nodes.size(), p, rank + 1);
+    if (lo == hi) continue;
     const auto card = static_cast<std::size_t>(cat_card_[li]);
     const std::span<const std::int64_t> counts =
         batch_.view<std::int64_t>(seg_cat_[li]);
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
+    for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = nodes[k];
       const CountMatrix matrix = CountMatrix::from_flat(
-          cat_card_[li], c_, counts.subspan(k * card * uc, card * uc));
+          cat_card_[li], c_, counts.subspan((k - lo) * card * uc, card * uc));
       const SplitCandidate cand = best_categorical_split(
           matrix, static_cast<std::int32_t>(cat_attr_[li]),
           options_.categorical_split, options_.criterion);
@@ -663,24 +709,50 @@ void HistogramEngine::find_splits(Level& level) {
 }
 
 void HistogramEngine::map_categorical(Level& level) {
-  // Every rank holds the merged matrices (still in the batch from
-  // find_splits), so the mappings are built redundantly everywhere — no
-  // broadcast round.
-  for (std::size_t li = 0; li < num_cat_; ++li) {
+  // Only the owner of a winning (node, categorical attribute) matrix holds
+  // it merged (still in the batch from find_splits), so the owner builds the
+  // value -> child mapping and one rooted broadcast publishes them all. The
+  // winners and cardinalities are global, so every other rank contributes a
+  // correctly-sized placeholder; with no categorical winner the batch stays
+  // empty and the round is skipped.
+  const int p = comm_.size();
+  const int rank = comm_.rank();
+  map_batch_.reset();
+  mapped_nodes_.clear();
+  for (std::size_t i = 0; i < level.m; ++i) {
+    const SplitCandidate& win = level.best[i];
+    if (!level.will_split[i] || win.kind == SplitKind::kContinuous) continue;
+    const auto li = static_cast<std::size_t>(
+        slot_of_attr_[static_cast<std::size_t>(win.attribute)]);
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
+    const int owner =
+        block_owner(static_cast<std::int64_t>(k), nodes.size(), p);
     const auto card = static_cast<std::size_t>(cat_card_[li]);
-    const std::span<const std::int64_t> counts =
-        batch_.view<std::int64_t>(seg_cat_[li]);
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
-      const std::size_t i = nodes[k];
-      const SplitCandidate& win = level.best[i];
-      if (!level.will_split[i] || win.attribute != cat_attr_[li]) continue;
+    std::vector<std::int32_t>& mapping = level.value_to_child[i];
+    if (owner == rank) {
+      const std::size_t row = k - block_begin(nodes.size(), p, rank);
       const CountMatrix matrix = CountMatrix::from_flat(
-          cat_card_[li], c_, counts.subspan(k * card * uc_, card * uc_));
-      level.value_to_child[i] = win.kind == SplitKind::kCategoricalMultiWay
-                                    ? value_to_child_multiway(matrix)
-                                    : value_to_child_subset(matrix, win.subset);
+          cat_card_[li], c_,
+          batch_.view<std::int64_t>(seg_cat_[li])
+              .subspan(row * card * uc_, card * uc_));
+      mapping = win.kind == SplitKind::kCategoricalMultiWay
+                    ? value_to_child_multiway(matrix)
+                    : value_to_child_subset(matrix, win.subset);
+    } else {
+      mapping.assign(card, 0);
     }
+    map_batch_.add<std::int32_t>(std::span<const std::int32_t>(mapping),
+                                 mp::SumOp{}, std::int32_t{0}, owner);
+    mapped_nodes_.push_back(i);
+  }
+  map_batch_.bcast_rooted();
+  for (std::size_t s = 0; s < mapped_nodes_.size(); ++s) {
+    const std::span<const std::int32_t> mapping =
+        map_batch_.view<std::int32_t>(s);
+    level.value_to_child[mapped_nodes_[s]].assign(mapping.begin(),
+                                                  mapping.end());
   }
 }
 

@@ -391,8 +391,11 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // ---------------- FindSplitI + FindSplitII -----------------------------
     level.best.assign(level.m, SplitCandidate{});
     engine->find_splits(level);
-    // The min-allreduce that makes every rank agree on the winning
-    // candidate per node — the closing collective of FindSplitII.
+    // The min-allreduce that picks every node's winning candidate on every
+    // rank — the closing collective of FindSplitII. Each engine's ranks
+    // score disjoint shares (the exact engine's attribute-list fragments,
+    // the histogram engine's owned histograms), so this is where the
+    // winner is chosen.
     level.phase("findsplit_ii");
     level.best = mp::allreduce_vec(
         comm, std::span<const SplitCandidate>(level.best), CandidateMinOp{});

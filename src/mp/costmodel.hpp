@@ -73,14 +73,19 @@ struct CostModel {
 //   histogram  ~ O(attrs x bins x classes)      — independent of N
 //   voting     ~ O(2k x bins x classes)         — independent of N and attrs
 //
-// The quantized predictors enumerate the actual packed allreduce segments of
-// the histogram engine (range merge, counts, bin minima, categorical count
-// matrices, vote tallies, split candidates, child class counts) times the
-// ceil(log2 p) recursive-doubling rounds, so they land within a few percent
-// of measurement. The exact-engine predictor is a calibrated shape, not an
+// The quantized predictors enumerate the packed segments of the histogram
+// engine for its busiest rank. Each merged histogram (counts, bin minima,
+// categorical count matrices) has one owner rank, and every other rank sends
+// it its share once; the smallest owner chunk is floor(n/p) of a list's n
+// nodes, so the busiest rank sends n - floor(n/p) nodes' worth. The value
+// ranges, split candidates, child class counts and vote tallies still ride
+// binomial allreduces of ceil(log2 p) rounds. The histogram predictor lands
+// within a few percent of measurement (bench/comm_model --check gates it).
+// The voting predictor is an unchecked shape: its electorate depends on the
+// data. The exact-engine predictor is a calibrated shape, not an
 // enumeration: its traffic is the all-to-all hash-table probe/update stream,
-// of which a (1 - 1/p) fraction leaves the rank. bench/comm_model prints
-// all three against measured values.
+// of which a (1 - 1/p) fraction leaves the rank. bench/comm_model prints all
+// three against measured values.
 struct SplitCommModel {
   int procs = 1;
   int classes = 2;
@@ -114,28 +119,41 @@ struct SplitCommModel {
            kExactBytesPerRecord;
   }
 
-  // One active node's worth of merged histogram state: per continuous
-  // attribute a (bins x classes) int64 count grid, a bins-wide double
-  // bin-minimum vector and a 16-byte value range; per categorical attribute
-  // its (cardinality x classes) count matrix; plus the split candidate and
-  // the child class counts that grow the tree.
+  // One active node's merged histograms: per continuous attribute a
+  // (bins x classes) int64 count grid and a bins-wide double bin-minimum
+  // vector; per categorical attribute its (cardinality x classes) count
+  // matrix.
   double histogram_node_bytes() const {
     const double cont = static_cast<double>(cont_attrs) *
                         (static_cast<double>(hist_bins) * classes * 8.0 +
-                         static_cast<double>(hist_bins) * 8.0 + 16.0);
+                         static_cast<double>(hist_bins) * 8.0);
     const double cat = static_cast<double>(cat_cardinality_sum) * classes * 8.0;
-    const double growth = kCandidateBytes + 2.0 * classes * 8.0;
-    return cont + cat + growth;
+    return cont + cat;
   }
 
-  // Histogram mode: O(attrs x bins) per node per round — flat in N.
+  // One active node's allreduced state per round: a 16-byte value range per
+  // continuous attribute, the split candidate and the child class counts
+  // that grow the tree.
+  double allreduce_node_bytes() const {
+    return static_cast<double>(cont_attrs) * 16.0 + kCandidateBytes +
+           2.0 * classes * 8.0;
+  }
+
+  // Nodes of an n-node list whose histograms the busiest rank sends: all
+  // but its owner chunk of floor(n / p).
+  double unowned_nodes(std::int64_t n) const {
+    return static_cast<double>(n - n / procs);
+  }
+
+  // Histogram mode: O(attrs x bins) per node — flat in N.
   double histogram_level_bytes(std::int64_t active_nodes) const {
-    return static_cast<double>(allreduce_rounds(procs)) *
-           static_cast<double>(active_nodes) * histogram_node_bytes();
+    return unowned_nodes(active_nodes) * histogram_node_bytes() +
+           static_cast<double>(allreduce_rounds(procs)) *
+               static_cast<double>(active_nodes) * allreduce_node_bytes();
   }
 
   // Voting mode: only min(2k, attrs) elected attributes are merged per node
-  // (modeled as a proportional shrink of the per-node payload — elections
+  // (modeled as a proportional shrink of the merged histograms — elections
   // mix continuous and categorical attributes per node), plus the one-int32
   // per (attr, node) vote tally round.
   double voting_level_bytes(std::int64_t active_nodes) const {
@@ -145,9 +163,11 @@ struct SplitCommModel {
         static_cast<double>(std::min(2 * top_k, attrs)) /
         static_cast<double>(attrs);
     const double votes = static_cast<double>(attrs) * 4.0;
-    return static_cast<double>(allreduce_rounds(procs)) *
-           static_cast<double>(active_nodes) *
-           (histogram_node_bytes() * elected_fraction + votes);
+    return unowned_nodes(active_nodes) * histogram_node_bytes() *
+               elected_fraction +
+           static_cast<double>(allreduce_rounds(procs)) *
+               static_cast<double>(active_nodes) *
+               (allreduce_node_bytes() + votes);
   }
 };
 

@@ -411,6 +411,34 @@ TEST(VotingInduction, AccuracyCloseToExact) {
 }
 
 // ---------------------------------------------------------------------------
+// Merge traffic
+// ---------------------------------------------------------------------------
+
+TEST(HistogramMerge, BusiestRankSendsLessThanItsPackedHistograms) {
+  // Each merged histogram has one owner rank, so a rank sends every peer
+  // only that peer's chunk: the busiest rank sends less than the histograms
+  // it packs. A replicated merge (a reduce to one rank, then a broadcast)
+  // makes some rank send about log2(p) times them. comm.histogram_bytes
+  // sums every rank's packed payload.
+  const data::Dataset training = make_training(2000);
+  for (const SplitMode mode : {SplitMode::kHistogram, SplitMode::kVoting}) {
+    InductionControls controls = histogram_controls(64, 12);
+    controls.options.split_mode = mode;
+    controls.options.top_k = 2;
+    for (const int p : {3, 4}) {
+      const core::FitReport report =
+          ScalParC::fit(training, p, controls, kZero);
+      const double packed_per_rank =
+          report.run.metrics.value("comm.histogram_bytes") / p;
+      ASSERT_GT(packed_per_rank, 0.0);
+      EXPECT_LT(static_cast<double>(report.run.max_bytes_sent_per_rank()),
+                packed_per_rank)
+          << "mode " << static_cast<int>(mode) << " p=" << p;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint interop
 // ---------------------------------------------------------------------------
 
