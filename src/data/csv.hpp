@@ -6,6 +6,12 @@
 //                   class:<C>              label column (must be last)
 //   example:        salary:cont,elevel:cat:5,class:2
 // Categorical values and labels are written as integer codes.
+//
+// The reader accepts LF and CRLF line ends and skips blank lines. Every
+// cell, the label and the header's <K> and <C> included, must be exactly one
+// number: no surrounding whitespace, no leading '+', nothing after it.
+// Continuous cells are decimal or exponent notation, every other number a
+// decimal integer. Errors name the row and the 1-based column.
 #pragma once
 
 #include <iosfwd>

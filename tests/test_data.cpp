@@ -330,6 +330,67 @@ TEST(Csv, RejectsOutOfRangeCategoricalCode) {
   EXPECT_THROW((void)data::read_csv(in), std::runtime_error);
 }
 
+// The message read_csv fails with on `text`, or "" when it loads.
+std::string csv_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)data::read_csv(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csv, RejectsTrailingGarbageInContinuousCell) {
+  const std::string error = csv_error("x:cont,class:2\n1.0,0\n2.5abc,1\n");
+  EXPECT_NE(error.find("row 3, column 1 (x): bad value '2.5abc'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Csv, RejectsFractionalCategoricalCode) {
+  const std::string error = csv_error("x:cont,c:cat:4,class:2\n1.0,2.9,0\n");
+  EXPECT_NE(error.find("row 2, column 2 (c): bad value '2.9'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Csv, RejectsNonNumericLabel) {
+  const std::string error = csv_error("x:cont,class:2\n1.0,x\n");
+  EXPECT_NE(error.find("row 2, column 2 (class): bad value 'x'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Csv, RejectsEmptyLabel) {
+  const std::string error = csv_error("x:cont,class:2\n1.0,0\n1.0,\n");
+  EXPECT_NE(error.find("row 3, column 2 (class): bad value ''"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Csv, RejectsMalformedClassCount) {
+  const std::string error = csv_error("x:cont,class:2x\n1.0,0\n");
+  EXPECT_NE(error.find("header column 2"), std::string::npos) << error;
+}
+
+TEST(Csv, RejectsMalformedCardinality) {
+  const std::string error = csv_error("c:cat:5y,class:2\n1,0\n");
+  EXPECT_NE(error.find("header column 1"), std::string::npos) << error;
+}
+
+TEST(Csv, LoadsCrlfFile) {
+  std::stringstream in("x:cont,c:cat:3,class:2\r\n1.5,2,1\r\n\r\n-2.5,0,0\r\n");
+  const Dataset d = data::read_csv(in);
+  ASSERT_EQ(d.num_records(), 2u);
+  EXPECT_EQ(d.schema().num_classes(), 2);
+  EXPECT_EQ(d.schema().attribute(1).cardinality, 3);
+  EXPECT_DOUBLE_EQ(d.continuous_value(0, 1), -2.5);
+  EXPECT_EQ(d.categorical_value(1, 0), 2);
+  EXPECT_EQ(d.label(0), 1);
+  EXPECT_EQ(d.label(1), 0);
+}
+
 TEST(Csv, SkipsBlankLines) {
   std::stringstream in("x:cont,class:2\n1.0,0\n\n2.0,1\n");
   const Dataset d = data::read_csv(in);
