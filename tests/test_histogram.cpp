@@ -1,9 +1,9 @@
 // Histogram-quantized split finding (SplitMode::kHistogram / kVoting):
 // binner determinism properties, histogram split evaluation against
 // hand-checkable data, processor-count invariance of histogram-mode trees,
-// voting-mode determinism and degeneracies, and checkpoint interop — kill +
-// resume under histogram mode, cross-mode resume in both directions, and
-// shrink recovery.
+// voting-mode determinism and degeneracies, the owner-rank merge's traffic
+// bound, and checkpoint interop — kill + resume under histogram mode,
+// cross-mode resume in both directions, and shrink recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
