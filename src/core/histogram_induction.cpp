@@ -90,24 +90,11 @@ struct RowWire {
   std::int32_t node = 0;  // active-node index
 };
 
-// The equal block partition of [0, total) over p ranks, the first total % p
-// blocks one longer: it tiles record ids into row blocks, and each list's
-// elected nodes into histogram owner chunks. block_begin(total, p, p) is
-// total.
-std::size_t block_begin(std::size_t total, int p, int r) {
-  const auto ur = static_cast<std::size_t>(r);
-  const std::size_t base = total / static_cast<std::size_t>(p);
-  return ur * base + std::min(ur, total % static_cast<std::size_t>(p));
-}
-
-// The rank whose block holds `index` (0 <= index < total).
-int block_owner(std::int64_t index, std::uint64_t total, int p) {
-  const auto t = static_cast<std::int64_t>(total);
-  const std::int64_t base = t / p;
-  const std::int64_t extra = t % p;
-  const std::int64_t boundary = (base + 1) * extra;
-  if (index < boundary) return static_cast<int>(index / (base + 1));
-  return static_cast<int>(extra + (index - boundary) / base);
+// The part of an offsets_from_sizes() partition that holds `index`
+// (offsets.front() <= index < offsets.back()).
+int part_holding(const std::vector<std::size_t>& offsets, std::size_t index) {
+  const auto next = std::upper_bound(offsets.begin(), offsets.end(), index);
+  return static_cast<int>(next - offsets.begin()) - 1;
 }
 
 class HistogramEngine final : public internal::InductionEngine {
@@ -136,10 +123,10 @@ class HistogramEngine final : public internal::InductionEngine {
           "induce_tree_distributed: top_k must be >= 1");
     }
     if (controls.checkpoint.weighted()) {
-      // Record ownership is structural here (block_owner tiles [0, total)
-      // uniformly), so a weighted restore cannot steer work away from a
-      // slow rank. Reject loudly instead of silently ignoring the rebalance
-      // request.
+      // Record ownership is structural here (the equal block partition
+      // tiles [0, total) uniformly), so a weighted restore cannot steer
+      // work away from a slow rank. Reject loudly instead of silently
+      // ignoring the rebalance request.
       throw std::invalid_argument(
           "induce_tree_distributed: non-uniform rank_weights are not "
           "supported by the histogram engine (row ownership is structural); "
@@ -165,6 +152,7 @@ class HistogramEngine final : public internal::InductionEngine {
     cat_col_.resize(num_cat_);
     cat_counts_begin_.resize(num_cat_ + 1);
     elected_nodes_.resize(num_cont_ + num_cat_);
+    chunk_offsets_.resize(num_cont_ + num_cat_);
     seg_counts_.resize(num_cont_);
     seg_min_.resize(num_cont_);
     seg_cat_.resize(num_cat_);
@@ -219,22 +207,26 @@ class HistogramEngine final : public internal::InductionEngine {
              2 * sizeof(std::int32_t)));
   }
 
-  // Adds `n` rows of `width` elements each to batch_ as one segment per
-  // non-empty owner chunk (block_begin over the rows), rooted at the
-  // chunk's owner. Returns this rank's segment when its chunk is non-empty.
+  // Adds the rows of `rows` (`width` elements each) to batch_ as one
+  // segment per non-empty owner chunk of `chunks` (an offsets_from_sizes()
+  // partition of the rows), rooted at the chunk's owner, and adds their
+  // payload bytes to `payload_bytes`. Returns this rank's segment when its
+  // chunk is non-empty.
   template <typename T, typename Combine>
-  std::size_t add_owner_chunks(const std::vector<T>& rows, std::size_t n,
+  std::size_t add_owner_chunks(const std::vector<T>& rows,
+                               const std::vector<std::size_t>& chunks,
                                std::size_t width, Combine combine,
-                               const T& identity) {
-    const int p = comm_.size();
+                               const T& identity,
+                               std::uint64_t& payload_bytes) {
     std::size_t own = std::numeric_limits<std::size_t>::max();
-    for (int r = 0; r < p; ++r) {
-      const std::size_t lo = block_begin(n, p, r);
-      const std::size_t hi = block_begin(n, p, r + 1);
+    for (int r = 0; r < comm_.size(); ++r) {
+      const std::size_t lo = chunks[static_cast<std::size_t>(r)];
+      const std::size_t hi = chunks[static_cast<std::size_t>(r) + 1];
       if (lo == hi) continue;
-      const std::size_t seg = batch_.add<T>(
-          std::span<const T>(rows).subspan(lo * width, (hi - lo) * width),
-          combine, identity, r);
+      const std::span<const T> chunk =
+          std::span<const T>(rows).subspan(lo * width, (hi - lo) * width);
+      const std::size_t seg = batch_.add<T>(chunk, combine, identity, r);
+      payload_bytes += chunk.size_bytes();
       if (r == comm_.rank()) own = seg;
     }
     return own;
@@ -277,6 +269,9 @@ class HistogramEngine final : public internal::InductionEngine {
   std::vector<std::int32_t> votes_;         // [node][attribute], voting only
   std::vector<std::uint8_t> elected_mask_;  // [node][attribute]
   std::vector<std::vector<std::size_t>> elected_nodes_;
+  // Per list, the owner chunks of its elected nodes: the equal block
+  // partition over the ranks as offsets_from_sizes() offsets.
+  std::vector<std::vector<std::size_t>> chunk_offsets_;
   std::vector<std::int64_t> merge_counts_scratch_;
   std::vector<double> merge_min_scratch_;
   // This rank's merged chunk per list: a segment of batch_ after round 2,
@@ -335,8 +330,8 @@ void HistogramEngine::restore(const std::string& level_dir,
         w.slot = static_cast<std::int32_t>(slot);
         w.cls = e.cls;
         w.node = static_cast<std::int32_t>(i);
-        sendbufs[static_cast<std::size_t>(
-                     block_owner(e.rid, total_records_, p))]
+        sendbufs[static_cast<std::size_t>(part_holding(
+                     block_offsets, static_cast<std::size_t>(e.rid)))]
             .push_back(w);
       }
     }
@@ -626,7 +621,10 @@ void HistogramEngine::find_splits(Level& level) {
         nodes.push_back(i);
       }
     }
+    chunk_offsets_[li] = sort::offsets_from_sizes(
+        sort::equal_partition_sizes(nodes.size(), comm_.size()));
   }
+  std::uint64_t merged_bytes = 0;
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[li];
     merge_counts_scratch_.assign(nodes.size() * ubins * uc, 0);
@@ -640,11 +638,11 @@ void HistogramEngine::find_splits(Level& level) {
                   merge_min_scratch_.data() + k * ubins);
     }
     seg_counts_[li] =
-        add_owner_chunks(merge_counts_scratch_, nodes.size(), ubins * uc,
-                         mp::SumOp{}, std::int64_t{0});
-    seg_min_[li] =
-        add_owner_chunks(merge_min_scratch_, nodes.size(), ubins, mp::MinOp{},
-                         std::numeric_limits<double>::infinity());
+        add_owner_chunks(merge_counts_scratch_, chunk_offsets_[li], ubins * uc,
+                         mp::SumOp{}, std::int64_t{0}, merged_bytes);
+    seg_min_[li] = add_owner_chunks(
+        merge_min_scratch_, chunk_offsets_[li], ubins, mp::MinOp{},
+        std::numeric_limits<double>::infinity(), merged_bytes);
   }
   for (std::size_t li = 0; li < num_cat_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
@@ -655,24 +653,25 @@ void HistogramEngine::find_splits(Level& level) {
       std::copy_n(cat_counts_.data() + cat_counts_begin_[li] + i * card * uc,
                   card * uc, merge_counts_scratch_.data() + k * card * uc);
     }
-    seg_cat_[li] = add_owner_chunks(merge_counts_scratch_, nodes.size(),
-                                    card * uc, mp::SumOp{}, std::int64_t{0});
+    seg_cat_[li] = add_owner_chunks(
+        merge_counts_scratch_, chunk_offsets_[num_cont_ + li], card * uc,
+        mp::SumOp{}, std::int64_t{0}, merged_bytes);
   }
-  level.set_bytes(static_cast<std::int64_t>(batch_.packed_bytes()));
-  histogram_bytes_total_ += batch_.packed_bytes();
+  // The segments' payload: the padding packed between them is not sent.
+  level.set_bytes(static_cast<std::int64_t>(merged_bytes));
+  histogram_bytes_total_ += merged_bytes;
   batch_.reduce_rooted();
 
   // ---------------- FindSplitII: score the owned histograms --------------
   // Each rank scores only the chunks it owns; the driver's closing
   // min-allreduce picks every node's winner among its owners' candidates.
   level.phase("findsplit_ii");
-  const int p = comm_.size();
-  const int rank = comm_.rank();
+  const auto rank = static_cast<std::size_t>(comm_.rank());
   std::vector<SplitCandidate>& best = level.best;
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[li];
-    const std::size_t lo = block_begin(nodes.size(), p, rank);
-    const std::size_t hi = block_begin(nodes.size(), p, rank + 1);
+    const std::size_t lo = chunk_offsets_[li][rank];
+    const std::size_t hi = chunk_offsets_[li][rank + 1];
     if (lo == hi) continue;
     const std::span<const std::int64_t> counts =
         batch_.view<std::int64_t>(seg_counts_[li]);
@@ -689,8 +688,8 @@ void HistogramEngine::find_splits(Level& level) {
   }
   for (std::size_t li = 0; li < num_cat_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
-    const std::size_t lo = block_begin(nodes.size(), p, rank);
-    const std::size_t hi = block_begin(nodes.size(), p, rank + 1);
+    const std::size_t lo = chunk_offsets_[num_cont_ + li][rank];
+    const std::size_t hi = chunk_offsets_[num_cont_ + li][rank + 1];
     if (lo == hi) continue;
     const auto card = static_cast<std::size_t>(cat_card_[li]);
     const std::span<const std::int64_t> counts =
@@ -715,8 +714,6 @@ void HistogramEngine::map_categorical(Level& level) {
   // winners and cardinalities are global, so every other rank contributes a
   // correctly-sized placeholder; with no categorical winner the batch stays
   // empty and the round is skipped.
-  const int p = comm_.size();
-  const int rank = comm_.rank();
   map_batch_.reset();
   mapped_nodes_.clear();
   for (std::size_t i = 0; i < level.m; ++i) {
@@ -725,14 +722,14 @@ void HistogramEngine::map_categorical(Level& level) {
     const auto li = static_cast<std::size_t>(
         slot_of_attr_[static_cast<std::size_t>(win.attribute)]);
     const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
+    const std::vector<std::size_t>& chunks = chunk_offsets_[num_cont_ + li];
     const auto k = static_cast<std::size_t>(
         std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
-    const int owner =
-        block_owner(static_cast<std::int64_t>(k), nodes.size(), p);
+    const int owner = part_holding(chunks, k);
     const auto card = static_cast<std::size_t>(cat_card_[li]);
     std::vector<std::int32_t>& mapping = level.value_to_child[i];
-    if (owner == rank) {
-      const std::size_t row = k - block_begin(nodes.size(), p, rank);
+    if (owner == comm_.rank()) {
+      const std::size_t row = k - chunks[static_cast<std::size_t>(owner)];
       const CountMatrix matrix = CountMatrix::from_flat(
           cat_card_[li], c_,
           batch_.view<std::int64_t>(seg_cat_[li])
