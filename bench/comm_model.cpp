@@ -17,14 +17,14 @@
 // A second table overlays the SplitCommModel analytic predictors (see
 // mp/costmodel.hpp) against measured per-level bytes for the three split
 // modes: the O(N/p) exact shape, and the N-independent O(attrs x bins) /
-// O(2k x bins) shapes of the quantized engines. With --check the run exits
-// non-zero when a histogram-mode ratio leaves [0.95, 1.05] at any processor
-// count, so an engine change cannot drift the model silently (the `perf`
-// ctest label runs it). The exact and voting rows are shapes and stay
-// unchecked.
+// O(2k x bins) shapes of the quantized engines. Histogram mode is checked
+// on two levels: level 1 (one node, so every merged histogram leaves all
+// ranks but its owner) and the widest level (many nodes cut into owner
+// chunks). The run exits non-zero when either histogram ratio leaves
+// [0.95, 1.05] at any processor count (the `perf` ctest label runs it).
+// The exact and voting rows are shapes and stay unchecked.
 //
 //   ./comm_model [--csv DIR] [--records N] [--depth D] [--bins B] [--top-k K]
-//                [--check]
 #include <algorithm>
 #include <cstdio>
 
@@ -95,16 +95,16 @@ int main(int argc, char** argv) {
   const int depth = static_cast<int>(args.get_int("depth", 6));
   const int bins = static_cast<int>(args.get_int("bins", 64));
   const int top_k = static_cast<int>(args.get_int("top-k", 2));
-  const bool check = args.has("check");
   const data::QuestGenerator generator = bench::paper_generator(1);
   int drifted = 0;
 
   std::printf(
-      "\nsplit-mode level-1 bytes/rank, SplitCommModel predicted vs measured\n"
-      "(records=%llu):\n",
+      "\nsplit-mode level bytes/rank, SplitCommModel predicted vs measured\n"
+      "(records=%llu; level 1 in every mode, and the widest level in\n"
+      "histogram mode):\n",
       static_cast<unsigned long long>(records));
-  std::printf("%6s %10s %14s %14s %8s\n", "procs", "mode", "predicted",
-              "measured", "ratio");
+  std::printf("%6s %10s %6s %6s %14s %14s %8s\n", "procs", "mode", "level",
+              "nodes", "predicted", "measured", "ratio");
   for (const int p : {2, 4, 8, 16}) {
     mp::SplitCommModel split_model;
     split_model.procs = p;
@@ -134,23 +134,36 @@ int main(int argc, char** argv) {
       controls.collect_level_stats = true;
       const core::FitReport report =
           core::ScalParC::fit_generated(generator, records, p, controls, model);
-      const core::LevelStats& level1 = report.stats.per_level.front();
-      double predicted = 0.0;
-      if (mode_name == "exact") {
-        predicted = split_model.exact_level_bytes(level1.active_records);
-      } else if (mode_name == "histogram") {
-        predicted = split_model.histogram_level_bytes(level1.active_nodes);
-      } else {
-        predicted = split_model.voting_level_bytes(level1.active_nodes);
-      }
-      const auto measured =
-          static_cast<double>(level1.max_bytes_sent_per_rank);
-      const double ratio = measured > 0.0 ? predicted / measured : 0.0;
-      std::printf("%6d %10s %14.0f %14.0f %8.2f\n", p, mode, predicted,
-                  measured, ratio);
-      csv.row("model_%s,%d,%.0f,%.0f", mode, p, predicted, measured);
-      if (mode_name == "histogram" && (ratio < 0.95 || ratio > 1.05)) {
-        ++drifted;
+      const auto& levels = report.stats.per_level;
+      const auto compare = [&](const core::LevelStats& level,
+                               const char* row) {
+        double predicted = 0.0;
+        if (mode_name == "exact") {
+          predicted = split_model.exact_level_bytes(level.active_records);
+        } else if (mode_name == "histogram") {
+          predicted = split_model.histogram_level_bytes(level.active_nodes);
+        } else {
+          predicted = split_model.voting_level_bytes(level.active_nodes);
+        }
+        const auto measured =
+            static_cast<double>(level.max_bytes_sent_per_rank);
+        const double ratio = measured > 0.0 ? predicted / measured : 0.0;
+        std::printf("%6d %10s %6d %6lld %14.0f %14.0f %8.2f\n", p, mode,
+                    level.level, static_cast<long long>(level.active_nodes),
+                    predicted, measured, ratio);
+        csv.row("%s,%d,%.0f,%.0f", row, p, predicted, measured);
+        if (mode_name == "histogram" && (ratio < 0.95 || ratio > 1.05)) {
+          ++drifted;
+        }
+      };
+      compare(levels.front(), ("model_" + mode_name).c_str());
+      if (mode_name == "histogram") {
+        compare(*std::max_element(levels.begin(), levels.end(),
+                                  [](const core::LevelStats& a,
+                                     const core::LevelStats& b) {
+                                    return a.active_nodes < b.active_nodes;
+                                  }),
+                "model_histogram_widest");
       }
     }
   }
@@ -159,14 +172,12 @@ int main(int argc, char** argv) {
       "predictors depend only on attrs x bins x classes (x the elected\n"
       "fraction for voting) — matching the flat curves in BENCH_comm.json.\n");
   std::printf("\nCSV written to %s\n", csv.path().c_str());
-  if (check) {
-    if (drifted > 0) {
-      std::fprintf(stderr,
-                   "check failed: %d histogram ratio(s) outside [0.95, 1.05]\n",
-                   drifted);
-      return 1;
-    }
-    std::printf("check OK: every histogram ratio within [0.95, 1.05]\n");
+  if (drifted > 0) {
+    std::fprintf(stderr,
+                 "check failed: %d histogram ratio(s) outside [0.95, 1.05]\n",
+                 drifted);
+    return 1;
   }
+  std::printf("check OK: every histogram ratio within [0.95, 1.05]\n");
   return 0;
 }

@@ -80,7 +80,8 @@ struct CostModel {
 // nodes, so the busiest rank sends n - floor(n/p) nodes' worth. The value
 // ranges, split candidates, child class counts and vote tallies still ride
 // binomial allreduces of ceil(log2 p) rounds. The histogram predictor lands
-// within a few percent of measurement (bench/comm_model --check gates it).
+// within a few percent of measurement; bench/comm_model fails when it leaves
+// [0.95, 1.05] on level 1 or on the widest level of its fit.
 // The voting predictor is an unchecked shape: its electorate depends on the
 // data. The exact-engine predictor is a calibrated shape, not an
 // enumeration: its traffic is the all-to-all hash-table probe/update stream,
