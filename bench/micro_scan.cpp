@@ -1,5 +1,5 @@
 // Per-record compute kernels in isolation: scan layout x impurity kernel,
-// and the owner-side hash table organisation.
+// and the owner-side hash table.
 //
 // Everything this bench measures is wall-clock (Stopwatch), not modeled
 // vtime: the point of the SoA layout, the incremental gini kernel, and the
@@ -13,8 +13,10 @@
 //            rank scanning its FindSplitI fragment. Records/second, plus the
 //            SoA/AoS speedup the tentpole claims.
 //   part 2 — hash probes: update + enquire the same key set through the
-//            chained owner-side table and the flat open-addressing table
-//            with probe-group prefetching. Probes/second.
+//            flat open-addressing table with probe-group prefetching.
+//            Probes/second, tracked against this bench's own trajectory.
+//            Documents that also carry chained_* and flat_speedup fields
+//            (from a chained table no longer in the tree) still validate.
 //
 //   ./micro_scan [--records N] [--run L] [--procs 1,2,4,8,16] [--keys K]
 //                [--table-procs 1,4] [--reps R] [--seed S]
@@ -35,7 +37,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/chained_hash.hpp"
 #include "core/flat_hash.hpp"
 #include "core/gini.hpp"
 #include "core/split_finder.hpp"
@@ -59,11 +60,8 @@ struct ScanRow {
 
 struct TableRow {
   int procs = 0;
-  double chained_seconds = 0.0;
   double flat_seconds = 0.0;
-  double chained_probes_per_s = 0.0;
   double flat_probes_per_s = 0.0;
-  double flat_speedup = 0.0;
   // Metrics registry of the flat-table run (hash.probe_length histogram,
   // hash.occupancy_pct, comm.*), embedded under "details" in the JSON.
   Json details;
@@ -117,8 +115,7 @@ bool validate(const Json& doc) {
       if (run.at("procs").as_int() <= 0) {
         return complain("table run has procs <= 0");
       }
-      if (!(run.at("chained_probes_per_s").as_double() > 0.0) ||
-          !(run.at("flat_probes_per_s").as_double() > 0.0)) {
+      if (!(run.at("flat_probes_per_s").as_double() > 0.0)) {
         return complain("table run has non-positive throughput");
       }
       // details.metrics must decode as a registry snapshot with the flat
@@ -267,19 +264,23 @@ int main(int argc, char** argv) {
     return best_seconds;
   };
 
-  // Best-of-reps wall time of one table organisation at p ranks: every rank
-  // updates and enquires its strided share of the keys (scrambled so keys
-  // land on every owner), table_iters times.
+  // Best-of-reps wall time of the flat table at p ranks: every rank updates
+  // and enquires its strided share of the keys (scrambled so keys land on
+  // every owner), table_iters times. `details` receives the metrics
+  // registry.
   double table_checksum = 0.0;
-  const auto time_table = [&]<typename Table>(int p, Table*,
-                                              Json* details = nullptr) {
+  struct Payload {
+    std::int64_t payload = 0;
+  };
+  using Table = core::DistributedFlatHashTable<Payload>;
+  const auto time_table = [&](int p, Json& details) {
     double best_seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       std::vector<double> elapsed(static_cast<std::size_t>(p), 0.0);
       std::vector<double> sinks(static_cast<std::size_t>(p), 0.0);
       const mp::RunResult run = mp::run_ranks(p, model, [&](mp::Comm& comm) {
         Table table(comm, keys);
-        std::vector<typename Table::Update> updates;
+        std::vector<Table::Update> updates;
         std::vector<std::int64_t> enquiry;
         for (std::uint64_t k = static_cast<std::uint64_t>(comm.rank());
              k < keys; k += static_cast<std::uint64_t>(comm.size())) {
@@ -304,10 +305,8 @@ int main(int argc, char** argv) {
       const double rep_seconds = *std::max_element(elapsed.begin(), elapsed.end());
       best_seconds = rep == 0 ? rep_seconds : std::min(best_seconds, rep_seconds);
       for (const double s : sinks) table_checksum += s;
-      if (details != nullptr) {
-        *details = Json::object();
-        (*details)["metrics"] = run.metrics.to_json();
-      }
+      details = Json::object();
+      details["metrics"] = run.metrics.to_json();
     }
     return best_seconds;
   };
@@ -347,29 +346,15 @@ int main(int argc, char** argv) {
   std::printf(
       "\npart 2: hash table, %llu keys updated + enquired, %d rounds/timing\n\n",
       static_cast<unsigned long long>(keys), table_iters);
-  std::printf("%6s %14s %14s %16s %16s %9s\n", "procs", "chained(ms)",
-              "flat(ms)", "chained pr/s", "flat pr/s", "speedup");
+  std::printf("%6s %14s %16s\n", "procs", "flat(ms)", "flat pr/s");
   std::vector<TableRow> table_rows;
-  struct Payload {
-    std::int64_t payload = 0;
-  };
   for (const std::int64_t p : table_procs) {
     TableRow row;
     row.procs = static_cast<int>(p);
-    row.chained_seconds = time_table(
-        row.procs, static_cast<core::DistributedChainedHashTable<Payload>*>(nullptr));
-    row.flat_seconds = time_table(
-        row.procs, static_cast<core::DistributedFlatHashTable<Payload>*>(nullptr),
-        &row.details);
-    row.chained_probes_per_s = probed / row.chained_seconds;
+    row.flat_seconds = time_table(row.procs, row.details);
     row.flat_probes_per_s = probed / row.flat_seconds;
-    row.flat_speedup = row.flat_probes_per_s / row.chained_probes_per_s;
-    std::printf("%6d %14.3f %14.3f %16.3e %16.3e %8.2fx\n", row.procs,
-                row.chained_seconds * 1e3, row.flat_seconds * 1e3,
-                row.chained_probes_per_s, row.flat_probes_per_s,
-                row.flat_speedup);
-    csv.row("table,%d,chained,%.6f,%.1f", row.procs, row.chained_seconds,
-            row.chained_probes_per_s);
+    std::printf("%6d %14.3f %16.3e\n", row.procs, row.flat_seconds * 1e3,
+                row.flat_probes_per_s);
     csv.row("table,%d,flat,%.6f,%.1f", row.procs, row.flat_seconds,
             row.flat_probes_per_s);
     table_rows.push_back(row);
@@ -402,11 +387,8 @@ int main(int argc, char** argv) {
   for (const TableRow& row : table_rows) {
     Json run = Json::object();
     run["procs"] = row.procs;
-    run["chained_seconds"] = row.chained_seconds;
     run["flat_seconds"] = row.flat_seconds;
-    run["chained_probes_per_s"] = row.chained_probes_per_s;
     run["flat_probes_per_s"] = row.flat_probes_per_s;
-    run["flat_speedup"] = row.flat_speedup;
     run["details"] = row.details;
     table_runs.push_back(std::move(run));
   }

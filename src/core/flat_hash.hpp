@@ -1,17 +1,27 @@
-// Distributed hash table with flat open addressing.
+// Distributed hash table for arbitrary keys (§3.3.1, closing remark).
 //
-// Functional twin of DistributedChainedHashTable (same key->owner mapping,
-// same buffered all-to-all update/enquiry protocol, same insert-or-assign
-// semantics), with the owner-side storage redesigned for the memory system:
+// The node table's hash is collision-free because record ids densely cover
+// [0, N). The paper notes the paradigm "can also support collisions by
+// implementing open chaining at the indices l of the local hash tables" —
+// which is what makes it reusable for algorithms whose keys are arbitrary.
+// DistributedFlatHashTable takes arbitrary 64-bit keys: a fixed number of
+// buckets block-distributed over the ranks fixes each key's owner, and the
+// update/enquiry exchanges are the paradigm's own (hashing:: in
+// core/node_table.hpp), with the key itself as the wire form. Only the
+// owner-side storage differs, laid out for the memory system instead of as
+// chains:
 //
-//   * one flat slot array per rank instead of a vector-of-vectors of chains
-//     — probing is pointer-free linear scanning within a cache line instead
-//     of chasing a heap allocation per bucket;
-//   * incoming update/enquiry rounds are processed in small probe groups:
-//     the home slots of the next group are software-prefetched while the
-//     current group probes, hiding the (random) first-touch miss that
-//     dominates hash table throughput at scale.
+//   * one flat open-addressing slot array per rank — probing is pointer-free
+//     linear scanning within a cache line instead of chasing a heap
+//     allocation per bucket;
+//   * incoming update/enquiry batches are processed in groups of
+//     hashing::kPrefetchGroup: the home slots of the next group are
+//     software-prefetched while the current group probes, hiding the
+//     (random) first-touch miss that dominates hash table throughput at
+//     scale.
 //
+// Update semantics: insert-or-assign (last writer in arrival order wins for
+// duplicate keys in the same round). Enquiry returns a found flag per key.
 // The local table grows by doubling at 70% load, so bulk updates stay O(1)
 // amortized per key regardless of the constructor's bucket hint.
 #pragma once
@@ -22,32 +32,36 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/chained_hash.hpp"  // mix_key
-#include "mp/collectives.hpp"
+#include "core/node_table.hpp"
 #include "mp/comm.hpp"
+#include "mp/metrics.hpp"
 #include "util/memory_meter.hpp"
 
 namespace scalparc::core {
 
+// 64-bit finalizer (SplitMix64's mixer): scatters arbitrary keys uniformly
+// over the bucket space.
+constexpr std::uint64_t mix_key(std::uint64_t key) {
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ULL;
+  key ^= key >> 27;
+  key *= 0x94D049BB133111EBULL;
+  key ^= key >> 31;
+  return key;
+}
+
 template <mp::WireType V>
 class DistributedFlatHashTable {
  public:
-  struct Update {
-    std::int64_t key = 0;
-    V value{};
-  };
+  using Update = HashUpdate<V>;
   struct Lookup {
     V value{};
     bool found = false;
   };
 
-  // How many incoming keys probe concurrently: slots for group g+1 are
-  // prefetched while group g probes.
-  static constexpr std::size_t kProbeGroup = 8;
-
   // Collective; all ranks must pass identical arguments. `num_buckets` fixes
-  // the key->owner mapping (as in the chained table) and seeds the local
-  // capacity; the local table rehashes independently as it fills.
+  // the key->owner mapping and seeds the local capacity; the local table
+  // rehashes independently as it fills.
   DistributedFlatHashTable(mp::Comm& comm, std::uint64_t num_buckets)
       : comm_(comm), num_buckets_(num_buckets) {
     if (num_buckets == 0) {
@@ -69,13 +83,10 @@ class DistributedFlatHashTable {
   DistributedFlatHashTable& operator=(const DistributedFlatHashTable&) =
       delete;
 
-  std::uint64_t num_buckets() const { return num_buckets_; }
-
   int owner_of(std::int64_t key) const {
-    return static_cast<int>(bucket_of(key) / block_);
-  }
-  std::uint64_t bucket_of(std::int64_t key) const {
-    return mix_key(static_cast<std::uint64_t>(key)) % num_buckets_;
+    const std::uint64_t bucket =
+        mix_key(static_cast<std::uint64_t>(key)) % num_buckets_;
+    return static_cast<int>(bucket / block_);
   }
 
   std::size_t local_entries() const { return size_; }
@@ -83,53 +94,28 @@ class DistributedFlatHashTable {
 
   // Collective bulk insert-or-assign, blocked like the node table's update.
   void update(std::span<const Update> updates, std::int64_t block_limit = 0) {
-    if (block_limit < 0) {
-      throw std::invalid_argument("FlatHashTable::update: bad block limit");
-    }
-    if (block_limit == 0) {
-      apply_round(updates);
-      return;
-    }
-    const auto limit = static_cast<std::uint64_t>(block_limit);
-    const std::uint64_t my_rounds = (updates.size() + limit - 1) / limit;
-    const std::uint64_t rounds = mp::allreduce_value(comm_, my_rounds, mp::MaxOp{});
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      const std::uint64_t begin = std::min<std::uint64_t>(r * limit, updates.size());
-      const std::uint64_t end = std::min<std::uint64_t>(begin + limit, updates.size());
-      apply_round(updates.subspan(begin, end - begin));
-    }
+    // insert_or_assign may rehash mid-group, which wastes the prefetches
+    // but not correctness; rehashes are O(log n) per table lifetime.
+    const auto apply =
+        [this](std::span<const hashing::WireUpdate<std::int64_t, V>> batch) {
+          hashing::for_each_prefetched(
+              batch.size(), [&](std::size_t i) { prefetch_home(batch[i].key); },
+              [&](std::size_t i) {
+                insert_or_assign(batch[i].key, batch[i].value);
+              });
+        };
+    hashing::update(comm_, updates, block_limit, router(), apply);
   }
 
   // Collective bulk lookup; results ordered like `keys`.
   std::vector<Lookup> enquire(std::span<const std::int64_t> keys) {
-    const int p = comm_.size();
-    std::vector<std::vector<std::int64_t>> enquiry(static_cast<std::size_t>(p));
-    std::vector<int> destination(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const int dst = owner_of(keys[i]);
-      destination[i] = dst;
-      enquiry[static_cast<std::size_t>(dst)].push_back(keys[i]);
-    }
-    comm_.add_work(static_cast<double>(keys.size()));
-
-    std::vector<std::vector<std::int64_t>> key_buffers =
-        mp::alltoallv(comm_, enquiry);
-    std::vector<std::vector<Lookup>> value_buffers(static_cast<std::size_t>(p));
-    for (std::size_t src = 0; src < key_buffers.size(); ++src) {
-      lookup_local_batch(key_buffers[src], value_buffers[src]);
-      comm_.add_work(static_cast<double>(key_buffers[src].size()));
-    }
-    std::vector<std::vector<Lookup>> result_buffers =
-        mp::alltoallv(comm_, value_buffers);
-
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-    std::vector<Lookup> out;
-    out.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto dst = static_cast<std::size_t>(destination[i]);
-      out.push_back(result_buffers[dst][cursor[dst]++]);
-    }
-    return out;
+    const auto lookup = [this](std::span<const std::int64_t> asked,
+                               std::span<Lookup> out) {
+      hashing::for_each_prefetched(
+          asked.size(), [&](std::size_t i) { prefetch_home(asked[i]); },
+          [&](std::size_t i) { out[i] = probe(asked[i]); });
+    };
+    return hashing::enquire<Lookup>(comm_, keys, router(), lookup);
   }
 
  private:
@@ -138,60 +124,33 @@ class DistributedFlatHashTable {
     V value{};
   };
 
-  struct WireUpdate {
-    std::int64_t key = 0;
-    V value{};
-  };
+  // A key travels as itself: its owner needs the full key to probe.
+  auto router() const {
+    return [this](std::int64_t key) {
+      return hashing::KeyRoute<std::int64_t>{owner_of(key), key};
+    };
+  }
 
   std::size_t home_of(std::int64_t key) const {
     return static_cast<std::size_t>(mix_key(static_cast<std::uint64_t>(key))) &
            (slots_.size() - 1);
   }
 
-  void prefetch_slot(std::size_t slot) const {
+  void prefetch_home(std::int64_t key) const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(slots_.data() + slot, 0, 1);
-    __builtin_prefetch(full_.data() + slot, 0, 1);
+    const std::size_t home = home_of(key);
+    __builtin_prefetch(slots_.data() + home, 0, 1);
+    __builtin_prefetch(full_.data() + home, 0, 1);
 #else
-    (void)slot;
+    (void)key;
 #endif
   }
 
-  // Batched lookup with probe-group prefetching: while group g probes, the
-  // home slots of group g+1 are already on their way into cache.
-  void lookup_local_batch(std::span<const std::int64_t> keys,
-                          std::vector<Lookup>& out) const {
-    out.resize(keys.size());
-    std::size_t homes[kProbeGroup];
-    std::size_t next_homes[kProbeGroup];
-    const std::size_t first = std::min(kProbeGroup, keys.size());
-    for (std::size_t i = 0; i < first; ++i) {
-      homes[i] = home_of(keys[i]);
-      prefetch_slot(homes[i]);
-    }
-    for (std::size_t base = 0; base < keys.size(); base += kProbeGroup) {
-      const std::size_t count = std::min(kProbeGroup, keys.size() - base);
-      const std::size_t next_base = base + kProbeGroup;
-      const std::size_t next_count =
-          next_base < keys.size()
-              ? std::min(kProbeGroup, keys.size() - next_base)
-              : 0;
-      for (std::size_t i = 0; i < next_count; ++i) {
-        next_homes[i] = home_of(keys[next_base + i]);
-        prefetch_slot(next_homes[i]);
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        out[base + i] = probe(keys[base + i], homes[i]);
-      }
-      for (std::size_t i = 0; i < next_count; ++i) homes[i] = next_homes[i];
-    }
-  }
-
-  Lookup probe(std::int64_t key, std::size_t home) const {
+  Lookup probe(std::int64_t key) const {
     const std::size_t mask = slots_.size() - 1;
     std::uint64_t length = 1;
     ++lookups_;
-    for (std::size_t s = home;; s = (s + 1) & mask, ++length) {
+    for (std::size_t s = home_of(key);; s = (s + 1) & mask, ++length) {
       if (!full_[s]) {
         probe_lengths_.observe(length);
         return Lookup{};
@@ -224,6 +183,8 @@ class DistributedFlatHashTable {
     }
   }
 
+  // Doubles the slot array and re-places every live slot. A rehash move is
+  // neither an update nor a probe, so the telemetry counters skip it.
   void grow() {
     ++grows_;
     std::vector<Slot> old_slots = std::move(slots_);
@@ -231,40 +192,13 @@ class DistributedFlatHashTable {
     const std::size_t capacity = old_slots.size() * 2;
     slots_.assign(capacity, Slot{});
     full_.assign(capacity, 0);
-    size_ = 0;
     mem_.resize(capacity * (sizeof(Slot) + 1));
     for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if (old_full[s]) insert_or_assign(old_slots[s].key, old_slots[s].value);
-    }
-  }
-
-  void apply_round(std::span<const Update> round) {
-    const int p = comm_.size();
-    std::vector<std::vector<WireUpdate>> sendbufs(static_cast<std::size_t>(p));
-    for (const Update& u : round) {
-      sendbufs[static_cast<std::size_t>(owner_of(u.key))].push_back(
-          WireUpdate{u.key, u.value});
-    }
-    comm_.add_work(static_cast<double>(round.size()));
-    std::vector<std::vector<WireUpdate>> received = mp::alltoallv(comm_, sendbufs);
-    for (const auto& buf : received) {
-      // Prefetch a group ahead; insert_or_assign may rehash, which
-      // invalidates prefetched addresses but not correctness, and rehashes
-      // are O(log n) per table lifetime.
-      for (std::size_t base = 0; base < buf.size(); base += kProbeGroup) {
-        const std::size_t count = std::min(kProbeGroup, buf.size() - base);
-        const std::size_t next_base = base + kProbeGroup;
-        const std::size_t next_count =
-            next_base < buf.size() ? std::min(kProbeGroup, buf.size() - next_base)
-                                   : 0;
-        for (std::size_t i = 0; i < next_count; ++i) {
-          prefetch_slot(home_of(buf[next_base + i].key));
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          insert_or_assign(buf[base + i].key, buf[base + i].value);
-        }
-      }
-      comm_.add_work(static_cast<double>(buf.size()));
+      if (!old_full[s]) continue;
+      std::size_t t = home_of(old_slots[s].key);
+      while (full_[t]) t = (t + 1) & (capacity - 1);
+      full_[t] = 1;
+      slots_[t] = old_slots[s];
     }
   }
 

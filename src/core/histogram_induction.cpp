@@ -38,6 +38,7 @@
 #include "mp/collectives.hpp"
 #include "mp/metrics.hpp"
 #include "sort/partition_util.hpp"
+#include "sort/rebalance.hpp"
 #include "sort/sample_sort.hpp"
 
 namespace scalparc::core {
@@ -90,11 +91,20 @@ struct RowWire {
   std::int32_t node = 0;  // active-node index
 };
 
-// The part of an offsets_from_sizes() partition that holds `index`
-// (offsets.front() <= index < offsets.back()).
-int part_holding(const std::vector<std::size_t>& offsets, std::size_t index) {
-  const auto next = std::upper_bound(offsets.begin(), offsets.end(), index);
-  return static_cast<int>(next - offsets.begin()) - 1;
+// Moves rows nodes[k] of a row-major region of `width`-element rows to row
+// k and returns the packed rows. `nodes` ascends, so nodes[k] >= k and the
+// forward in-place copy never overwrites a row it has still to read; when
+// nodes[k] == k for all k (histogram mode) nothing moves.
+template <typename T>
+std::span<const T> pack_rows_in_place(T* region,
+                                      const std::vector<std::size_t>& nodes,
+                                      std::size_t width) {
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    if (nodes[k] != k) {
+      std::copy_n(region + nodes[k] * width, width, region + k * width);
+    }
+  }
+  return {region, nodes.size() * width};
 }
 
 class HistogramEngine final : public internal::InductionEngine {
@@ -213,7 +223,7 @@ class HistogramEngine final : public internal::InductionEngine {
   // payload bytes to `payload_bytes`. Returns this rank's segment when its
   // chunk is non-empty.
   template <typename T, typename Combine>
-  std::size_t add_owner_chunks(const std::vector<T>& rows,
+  std::size_t add_owner_chunks(std::span<const T> rows,
                                const std::vector<std::size_t>& chunks,
                                std::size_t width, Combine combine,
                                const T& identity,
@@ -224,7 +234,7 @@ class HistogramEngine final : public internal::InductionEngine {
       const std::size_t hi = chunks[static_cast<std::size_t>(r) + 1];
       if (lo == hi) continue;
       const std::span<const T> chunk =
-          std::span<const T>(rows).subspan(lo * width, (hi - lo) * width);
+          rows.subspan(lo * width, (hi - lo) * width);
       const std::size_t seg = batch_.add<T>(chunk, combine, identity, r);
       payload_bytes += chunk.size_bytes();
       if (r == comm_.rank()) own = seg;
@@ -272,8 +282,6 @@ class HistogramEngine final : public internal::InductionEngine {
   // Per list, the owner chunks of its elected nodes: the equal block
   // partition over the ranks as offsets_from_sizes() offsets.
   std::vector<std::vector<std::size_t>> chunk_offsets_;
-  std::vector<std::int64_t> merge_counts_scratch_;
-  std::vector<double> merge_min_scratch_;
   // This rank's merged chunk per list: a segment of batch_ after round 2,
   // defined only where the chunk is non-empty.
   std::vector<std::size_t> seg_counts_, seg_min_, seg_cat_;
@@ -330,8 +338,8 @@ void HistogramEngine::restore(const std::string& level_dir,
         w.slot = static_cast<std::int32_t>(slot);
         w.cls = e.cls;
         w.node = static_cast<std::int32_t>(i);
-        sendbufs[static_cast<std::size_t>(part_holding(
-                     block_offsets, static_cast<std::size_t>(e.rid)))]
+        sendbufs[static_cast<std::size_t>(sort::owner_of_global_index(
+                     static_cast<std::size_t>(e.rid), block_offsets))]
             .push_back(w);
       }
     }
@@ -609,7 +617,9 @@ void HistogramEngine::find_splits(Level& level) {
   // Every list's elected nodes are cut into p contiguous chunks, chunk r
   // owned by rank r, and one rooted reduce sends each peer only its chunk.
   // The elected sets derive from global data, so every rank builds the
-  // identical segment directory.
+  // identical segment directory. Each list's elected rows are first packed
+  // to the front of its own region of the local histograms; after this
+  // round only the batch is read.
   batch_.reset();
   for (std::size_t li = 0; li < num_cont_ + num_cat_; ++li) {
     const int attr =
@@ -627,35 +637,23 @@ void HistogramEngine::find_splits(Level& level) {
   std::uint64_t merged_bytes = 0;
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const std::vector<std::size_t>& nodes = elected_nodes_[li];
-    merge_counts_scratch_.assign(nodes.size() * ubins * uc, 0);
-    merge_min_scratch_.assign(nodes.size() * ubins,
-                              std::numeric_limits<double>::infinity());
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
-      const std::size_t i = nodes[k];
-      std::copy_n(cont_counts_.data() + (li * m + i) * ubins * uc, ubins * uc,
-                  merge_counts_scratch_.data() + k * ubins * uc);
-      std::copy_n(cont_bin_min_.data() + (li * m + i) * ubins, ubins,
-                  merge_min_scratch_.data() + k * ubins);
-    }
-    seg_counts_[li] =
-        add_owner_chunks(merge_counts_scratch_, chunk_offsets_[li], ubins * uc,
-                         mp::SumOp{}, std::int64_t{0}, merged_bytes);
+    seg_counts_[li] = add_owner_chunks(
+        pack_rows_in_place(cont_counts_.data() + li * m * ubins * uc, nodes,
+                           ubins * uc),
+        chunk_offsets_[li], ubins * uc, mp::SumOp{}, std::int64_t{0},
+        merged_bytes);
     seg_min_[li] = add_owner_chunks(
-        merge_min_scratch_, chunk_offsets_[li], ubins, mp::MinOp{},
+        pack_rows_in_place(cont_bin_min_.data() + li * m * ubins, nodes, ubins),
+        chunk_offsets_[li], ubins, mp::MinOp{},
         std::numeric_limits<double>::infinity(), merged_bytes);
   }
   for (std::size_t li = 0; li < num_cat_; ++li) {
-    const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
     const auto card = static_cast<std::size_t>(cat_card_[li]);
-    merge_counts_scratch_.assign(nodes.size() * card * uc, 0);
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
-      const std::size_t i = nodes[k];
-      std::copy_n(cat_counts_.data() + cat_counts_begin_[li] + i * card * uc,
-                  card * uc, merge_counts_scratch_.data() + k * card * uc);
-    }
     seg_cat_[li] = add_owner_chunks(
-        merge_counts_scratch_, chunk_offsets_[num_cont_ + li], card * uc,
-        mp::SumOp{}, std::int64_t{0}, merged_bytes);
+        pack_rows_in_place(cat_counts_.data() + cat_counts_begin_[li],
+                           elected_nodes_[num_cont_ + li], card * uc),
+        chunk_offsets_[num_cont_ + li], card * uc, mp::SumOp{},
+        std::int64_t{0}, merged_bytes);
   }
   // The segments' payload: the padding packed between them is not sent.
   level.set_bytes(static_cast<std::int64_t>(merged_bytes));
@@ -725,7 +723,7 @@ void HistogramEngine::map_categorical(Level& level) {
     const std::vector<std::size_t>& chunks = chunk_offsets_[num_cont_ + li];
     const auto k = static_cast<std::size_t>(
         std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
-    const int owner = part_holding(chunks, k);
+    const int owner = sort::owner_of_global_index(k, chunks);
     const auto card = static_cast<std::size_t>(cat_card_[li]);
     std::vector<std::int32_t>& mapping = level.value_to_child[i];
     if (owner == comm_.rank()) {

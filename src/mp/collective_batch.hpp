@@ -70,9 +70,10 @@ class CollectiveBatch {
     seg.root = root;
     seg.combine = &combine_thunk<T, Combine>;
     std::memcpy(seg.identity, &identity, sizeof(T));
-    buffer_.resize(seg.offset + seg.bytes);
+    buffer_.resize(seg.offset);  // zeroes only the alignment padding
     if (seg.bytes > 0) {
-      std::memcpy(buffer_.data() + seg.offset, local.data(), seg.bytes);
+      const auto* bytes = reinterpret_cast<const std::byte*>(local.data());
+      buffer_.insert(buffer_.end(), bytes, bytes + seg.bytes);
     }
     segments_.push_back(seg);
     return segments_.size() - 1;

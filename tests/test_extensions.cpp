@@ -1,180 +1,14 @@
-// Tests for the documented extensions: the open-chaining distributed hash
-// table (arbitrary keys, §3.3.1's closing remark) and decision-tree model
-// persistence.
+// Tests for the decision-tree model persistence extension (core/tree_io).
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
 
-#include "core/chained_hash.hpp"
 #include "core/scalparc.hpp"
 #include "core/tree_io.hpp"
 #include "data/synthetic.hpp"
-#include "mp/runtime.hpp"
-#include "util/random.hpp"
 
 namespace scalparc {
 namespace {
-
-const mp::CostModel kZero = mp::CostModel::zero();
-
-// ---------------------------------------------------------------------------
-// DistributedChainedHashTable
-// ---------------------------------------------------------------------------
-
-struct Payload {
-  std::int64_t value = 0;
-};
-
-using Chained = core::DistributedChainedHashTable<Payload>;
-
-class ChainedHash : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(RankSweep, ChainedHash, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST_P(ChainedHash, SparseArbitraryKeysRoundTrip) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [p](mp::Comm& comm) {
-    // Few buckets, many colliding sparse keys: chains must absorb them.
-    Chained table(comm, /*num_buckets=*/17);
-    std::vector<Chained::Update> updates;
-    for (int i = comm.rank(); i < 120; i += p) {
-      const std::int64_t key = static_cast<std::int64_t>(i) * 1000003 - 500;
-      updates.push_back(Chained::Update{key, Payload{key * 2}});
-    }
-    table.update(updates);
-    std::vector<std::int64_t> keys;
-    for (int i = 0; i < 120; ++i) {
-      keys.push_back(static_cast<std::int64_t>(i) * 1000003 - 500);
-    }
-    const auto lookups = table.enquire(keys);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_TRUE(lookups[i].found) << "key index " << i;
-      EXPECT_EQ(lookups[i].value.value, keys[i] * 2);
-    }
-  });
-}
-
-TEST_P(ChainedHash, MissingKeysReportNotFound) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Chained table(comm, 8);
-    std::vector<Chained::Update> updates;
-    if (comm.is_root()) updates.push_back(Chained::Update{42, Payload{7}});
-    table.update(updates);
-    const auto lookups =
-        table.enquire(std::vector<std::int64_t>{42, 43, -42});
-    EXPECT_TRUE(lookups[0].found);
-    EXPECT_EQ(lookups[0].value.value, 7);
-    EXPECT_FALSE(lookups[1].found);
-    EXPECT_FALSE(lookups[2].found);
-  });
-}
-
-TEST_P(ChainedHash, InsertOrAssignOverwrites) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Chained table(comm, 4);
-    std::vector<Chained::Update> first;
-    std::vector<Chained::Update> second;
-    if (comm.is_root()) {
-      first.push_back(Chained::Update{99, Payload{1}});
-      second.push_back(Chained::Update{99, Payload{2}});
-    }
-    table.update(first);
-    table.update(second);
-    const auto lookups = table.enquire(std::vector<std::int64_t>{99});
-    EXPECT_EQ(lookups[0].value.value, 2);
-    // No duplicate chain entries.
-    const std::uint64_t entries = mp::allreduce_value(
-        comm, static_cast<std::uint64_t>(table.local_entries()), mp::SumOp{});
-    EXPECT_EQ(entries, 1u);
-  });
-}
-
-TEST_P(ChainedHash, BlockedUpdatesEquivalent) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Chained table(comm, 32);
-    std::vector<Chained::Update> updates;
-    if (comm.rank() == 0) {
-      for (std::int64_t i = 0; i < 100; ++i) {
-        updates.push_back(Chained::Update{i * 7919, Payload{i}});
-      }
-    }
-    table.update(updates, /*block_limit=*/9);
-    std::vector<std::int64_t> keys;
-    for (std::int64_t i = 0; i < 100; ++i) keys.push_back(i * 7919);
-    const auto lookups = table.enquire(keys);
-    for (std::int64_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(lookups[static_cast<std::size_t>(i)].found);
-      EXPECT_EQ(lookups[static_cast<std::size_t>(i)].value.value, i);
-    }
-  });
-}
-
-TEST_P(ChainedHash, MatchesSerialMapUnderRandomWorkload) {
-  const int p = GetParam();
-  // Serial oracle computed identically on all ranks.
-  std::map<std::int64_t, std::int64_t> oracle;
-  util::Rng rng(404);
-  std::vector<Chained::Update> all_updates;
-  for (int i = 0; i < 500; ++i) {
-    const auto key = static_cast<std::int64_t>(rng.next_int(-1000, 1000));
-    const auto value = static_cast<std::int64_t>(rng.next_int(0, 1 << 20));
-    all_updates.push_back(Chained::Update{key, Payload{value}});
-    oracle[key] = value;
-  }
-  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-    Chained table(comm, 64);
-    // Round-robin the update stream over ranks but preserve relative order
-    // per key by splitting into sequential batches (later batches win).
-    for (std::size_t begin = 0; begin < all_updates.size(); begin += 100) {
-      std::vector<Chained::Update> mine;
-      for (std::size_t i = begin; i < std::min(begin + 100, all_updates.size());
-           ++i) {
-        if (static_cast<int>(i) % comm.size() == comm.rank()) {
-          mine.push_back(all_updates[i]);
-        }
-      }
-      // One batch per round; within a batch each key appears at most once
-      // per rank, and across rounds later rounds overwrite earlier ones.
-      table.update(mine);
-    }
-    std::vector<std::int64_t> keys;
-    for (const auto& [key, value] : oracle) keys.push_back(key);
-    const auto lookups = table.enquire(keys);
-    std::size_t i = 0;
-    std::size_t matches = 0;
-    for (const auto& [key, value] : oracle) {
-      ASSERT_TRUE(lookups[i].found) << "key " << key;
-      matches += lookups[i].value.value == value;
-      ++i;
-    }
-    // Keys written exactly once must match the oracle; rewritten keys may
-    // legitimately hold any of their written values when two ranks write the
-    // same key in the same round, so only require a large majority here.
-    EXPECT_GT(matches, oracle.size() * 3 / 4);
-  });
-}
-
-TEST(ChainedHash, RejectsZeroBuckets) {
-  EXPECT_THROW(mp::run_ranks(2, kZero,
-                             [](mp::Comm& comm) { Chained table(comm, 0); }),
-               std::invalid_argument);
-}
-
-TEST(ChainedHash, MixKeyScattersDenseKeys) {
-  // Dense keys must spread across buckets (unlike identity hashing).
-  std::vector<int> histogram(16, 0);
-  for (std::int64_t key = 0; key < 1600; ++key) {
-    ++histogram[core::mix_key(static_cast<std::uint64_t>(key)) % 16];
-  }
-  for (const int count : histogram) {
-    EXPECT_GT(count, 50);
-    EXPECT_LT(count, 150);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Tree persistence

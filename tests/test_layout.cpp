@@ -2,8 +2,8 @@
 // is checked against an independent reference: whole trees (clean and
 // killed-and-resumed) against the serial SPRINT oracle, the incremental gini
 // kernel against the recompute scanner, the subset split against a rebuild
-// oracle, the column sample sort/rebalance against the entry versions, and
-// the flat hash table against the chained one. The arena rides along.
+// oracle and the column sample sort/rebalance against the entry versions.
+// The arena rides along.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/chained_hash.hpp"
 #include "core/count_matrix.hpp"
-#include "core/flat_hash.hpp"
 #include "core/gini.hpp"
 #include "core/scalparc.hpp"
 #include "core/split_finder.hpp"
@@ -400,83 +398,6 @@ TEST(SortDifferential, RebalanceColumnsMatchesEntryRebalance) {
       EXPECT_EQ(balanced_cols.values[i], balanced_entries[i].value);
       EXPECT_EQ(balanced_cols.rids[i], balanced_entries[i].rid);
       EXPECT_EQ(balanced_cols.cls[i], balanced_entries[i].cls);
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Flat hash table vs the chained oracle
-// ---------------------------------------------------------------------------
-
-TEST(FlatHashDifferential, MatchesChainedTable) {
-  struct Payload {
-    std::int64_t tag = 0;
-  };
-  for (const int p : {1, 3}) {
-    mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-      // Few buckets: heavy collisions in the chained table, heavy probing
-      // and several capacity doublings in the flat one.
-      core::DistributedChainedHashTable<Payload> chained(comm, 97);
-      core::DistributedFlatHashTable<Payload> flat(comm, 97);
-
-      std::vector<core::DistributedChainedHashTable<Payload>::Update> cupd;
-      std::vector<core::DistributedFlatHashTable<Payload>::Update> fupd;
-      for (std::int64_t k = comm.rank(); k < 5000; k += comm.size()) {
-        const std::int64_t key = (k * 37) % 6007;
-        cupd.push_back({key, {k}});
-        fupd.push_back({key, {k}});
-      }
-      chained.update(cupd);
-      flat.update(fupd);
-      // Second round overwrites a subset: insert-or-assign semantics.
-      cupd.clear();
-      fupd.clear();
-      for (std::int64_t k = comm.rank(); k < 1000; k += comm.size()) {
-        cupd.push_back({k, {-k}});
-        fupd.push_back({k, {-k}});
-      }
-      chained.update(cupd, /*block_limit=*/100);
-      flat.update(fupd, /*block_limit=*/100);
-
-      std::vector<std::int64_t> keys;
-      for (std::int64_t k = comm.rank(); k < 7000; k += comm.size()) {
-        keys.push_back(k);  // includes keys never inserted
-      }
-      const auto from_chained = chained.enquire(keys);
-      const auto from_flat = flat.enquire(keys);
-      ASSERT_EQ(from_chained.size(), from_flat.size());
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(from_chained[i].found, from_flat[i].found) << keys[i];
-        if (from_chained[i].found) {
-          EXPECT_EQ(from_chained[i].value.tag, from_flat[i].value.tag)
-              << keys[i];
-        }
-      }
-    });
-  }
-}
-
-TEST(FlatHash, GrowsBeyondInitialCapacity) {
-  struct Payload {
-    std::int64_t tag = 0;
-  };
-  mp::run_ranks(1, kZero, [&](mp::Comm& comm) {
-    core::DistributedFlatHashTable<Payload> table(comm, 8);
-    const std::size_t initial = table.local_capacity();
-    std::vector<core::DistributedFlatHashTable<Payload>::Update> updates;
-    for (std::int64_t k = 0; k < 2000; ++k) updates.push_back({k, {k * 3}});
-    table.update(updates);
-    EXPECT_EQ(table.local_entries(), 2000u);
-    EXPECT_GT(table.local_capacity(), initial);
-    // Load factor stays under the 70% rehash threshold.
-    EXPECT_LE((table.local_entries() + 1) * 10, table.local_capacity() * 7 +
-                                                    10);
-    std::vector<std::int64_t> keys;
-    for (std::int64_t k = 0; k < 2000; ++k) keys.push_back(k);
-    const auto found = table.enquire(keys);
-    for (std::int64_t k = 0; k < 2000; ++k) {
-      ASSERT_TRUE(found[static_cast<std::size_t>(k)].found) << k;
-      EXPECT_EQ(found[static_cast<std::size_t>(k)].value.tag, k * 3);
     }
   });
 }

@@ -1,13 +1,17 @@
-// Tests for the parallel hashing paradigm: the generic distributed hash
-// table (update / enquiry / blocked rounds) and the ScalParC node table
-// (epoch-stamped child assignments) — validated against a serial map for a
-// sweep of rank counts.
+// Tests for the parallel hashing paradigm: the collision-free distributed
+// hash table (update / enquiry / blocked rounds), the ScalParC node table
+// (epoch-stamped child assignments) and the arbitrary-key open-addressing
+// table — validated against a serial map for a sweep of rank counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
+#include "core/flat_hash.hpp"
 #include "core/node_table.hpp"
+#include "mp/collectives.hpp"
+#include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
 #include "util/random.hpp"
 
@@ -296,6 +300,264 @@ TEST(NodeTableTest2, MemoryIsBlockSizedPerRank) {
         rank.meter.peak_bytes(util::MemCategory::kNodeTable);
     // 1024/4 = 256 entries of 8 bytes each.
     EXPECT_EQ(table_bytes, 256 * sizeof(core::NodeTableEntry));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DistributedFlatHashTable: arbitrary keys (§3.3.1's closing remark on
+// collisions). ChainedHash is named for the paper's open-chaining wording;
+// the table under test resolves collisions by open addressing.
+// ---------------------------------------------------------------------------
+
+struct Payload {
+  std::int64_t value = 0;
+};
+
+using Flat = core::DistributedFlatHashTable<Payload>;
+
+class ChainedHash : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(RankSweep, ChainedHash, ::testing::Values(1, 2, 3, 5, 8));
+
+TEST_P(ChainedHash, SparseArbitraryKeysRoundTrip) {
+  const int p = GetParam();
+  mp::run_ranks(p, kZero, [p](mp::Comm& comm) {
+    // Few buckets, many colliding sparse keys: probing must absorb them.
+    Flat table(comm, /*num_buckets=*/17);
+    std::vector<Flat::Update> updates;
+    for (int i = comm.rank(); i < 120; i += p) {
+      const std::int64_t key = static_cast<std::int64_t>(i) * 1000003 - 500;
+      updates.push_back(Flat::Update{key, Payload{key * 2}});
+    }
+    table.update(updates);
+    std::vector<std::int64_t> keys;
+    for (int i = 0; i < 120; ++i) {
+      keys.push_back(static_cast<std::int64_t>(i) * 1000003 - 500);
+    }
+    const auto lookups = table.enquire(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(lookups[i].found) << "key index " << i;
+      EXPECT_EQ(lookups[i].value.value, keys[i] * 2);
+    }
+  });
+}
+
+TEST_P(ChainedHash, MissingKeysReportNotFound) {
+  const int p = GetParam();
+  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
+    Flat table(comm, 8);
+    std::vector<Flat::Update> updates;
+    if (comm.is_root()) updates.push_back(Flat::Update{42, Payload{7}});
+    table.update(updates);
+    const auto lookups =
+        table.enquire(std::vector<std::int64_t>{42, 43, -42});
+    EXPECT_TRUE(lookups[0].found);
+    EXPECT_EQ(lookups[0].value.value, 7);
+    EXPECT_FALSE(lookups[1].found);
+    EXPECT_FALSE(lookups[2].found);
+  });
+}
+
+TEST_P(ChainedHash, InsertOrAssignOverwrites) {
+  const int p = GetParam();
+  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
+    Flat table(comm, 4);
+    std::vector<Flat::Update> first;
+    std::vector<Flat::Update> second;
+    if (comm.is_root()) {
+      first.push_back(Flat::Update{99, Payload{1}});
+      second.push_back(Flat::Update{99, Payload{2}});
+    }
+    table.update(first);
+    table.update(second);
+    const auto lookups = table.enquire(std::vector<std::int64_t>{99});
+    EXPECT_EQ(lookups[0].value.value, 2);
+    // No duplicate entries.
+    const std::uint64_t entries = mp::allreduce_value(
+        comm, static_cast<std::uint64_t>(table.local_entries()), mp::SumOp{});
+    EXPECT_EQ(entries, 1u);
+  });
+}
+
+TEST_P(ChainedHash, BlockedUpdatesEquivalent) {
+  const int p = GetParam();
+  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
+    Flat table(comm, 32);
+    std::vector<Flat::Update> updates;
+    if (comm.rank() == 0) {
+      for (std::int64_t i = 0; i < 100; ++i) {
+        updates.push_back(Flat::Update{i * 7919, Payload{i}});
+      }
+    }
+    table.update(updates, /*block_limit=*/9);
+    std::vector<std::int64_t> keys;
+    for (std::int64_t i = 0; i < 100; ++i) keys.push_back(i * 7919);
+    const auto lookups = table.enquire(keys);
+    for (std::int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(lookups[static_cast<std::size_t>(i)].found);
+      EXPECT_EQ(lookups[static_cast<std::size_t>(i)].value.value, i);
+    }
+  });
+}
+
+TEST_P(ChainedHash, MatchesSerialMapUnderRandomWorkload) {
+  const int p = GetParam();
+  // Serial oracle computed identically on all ranks.
+  std::map<std::int64_t, std::int64_t> oracle;
+  util::Rng rng(404);
+  std::vector<Flat::Update> all_updates;
+  for (int i = 0; i < 500; ++i) {
+    const auto key = static_cast<std::int64_t>(rng.next_int(-1000, 1000));
+    const auto value = static_cast<std::int64_t>(rng.next_int(0, 1 << 20));
+    all_updates.push_back(Flat::Update{key, Payload{value}});
+    oracle[key] = value;
+  }
+  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+    Flat table(comm, 64);
+    // Round-robin the update stream over ranks but preserve relative order
+    // per key by splitting into sequential batches (later batches win).
+    for (std::size_t begin = 0; begin < all_updates.size(); begin += 100) {
+      std::vector<Flat::Update> mine;
+      for (std::size_t i = begin; i < std::min(begin + 100, all_updates.size());
+           ++i) {
+        if (static_cast<int>(i) % comm.size() == comm.rank()) {
+          mine.push_back(all_updates[i]);
+        }
+      }
+      // One batch per round; within a batch each key appears at most once
+      // per rank, and across rounds later rounds overwrite earlier ones.
+      table.update(mine);
+    }
+    std::vector<std::int64_t> keys;
+    for (const auto& [key, value] : oracle) keys.push_back(key);
+    const auto lookups = table.enquire(keys);
+    std::size_t i = 0;
+    std::size_t matches = 0;
+    for (const auto& [key, value] : oracle) {
+      ASSERT_TRUE(lookups[i].found) << "key " << key;
+      matches += lookups[i].value.value == value;
+      ++i;
+    }
+    // Keys written exactly once must match the oracle; rewritten keys may
+    // legitimately hold any of their written values when two ranks write the
+    // same key in the same round, so only require a large majority here.
+    EXPECT_GT(matches, oracle.size() * 3 / 4);
+  });
+}
+
+TEST(ChainedHash, RejectsZeroBuckets) {
+  EXPECT_THROW(mp::run_ranks(2, kZero,
+                             [](mp::Comm& comm) { Flat table(comm, 0); }),
+               std::invalid_argument);
+}
+
+TEST(ChainedHash, MixKeyScattersDenseKeys) {
+  // Dense keys must spread across buckets (unlike identity hashing).
+  std::vector<int> histogram(16, 0);
+  for (std::int64_t key = 0; key < 1600; ++key) {
+    ++histogram[core::mix_key(static_cast<std::uint64_t>(key)) % 16];
+  }
+  for (const int count : histogram) {
+    EXPECT_GT(count, 50);
+    EXPECT_LT(count, 150);
+  }
+}
+
+TEST(FlatHashDifferential, MatchesChainedTable) {
+  // Against a serial std::map replaying the same two update rounds.
+  struct Tag {
+    std::int64_t tag = 0;
+  };
+  std::map<std::int64_t, std::int64_t> oracle;
+  for (std::int64_t k = 0; k < 5000; ++k) oracle[(k * 37) % 6007] = k;
+  for (std::int64_t k = 0; k < 1000; ++k) oracle[k] = -k;
+  for (const int p : {1, 3}) {
+    mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+      // Few buckets: heavy probing and several capacity doublings.
+      core::DistributedFlatHashTable<Tag> flat(comm, 97);
+      std::vector<core::DistributedFlatHashTable<Tag>::Update> updates;
+      for (std::int64_t k = comm.rank(); k < 5000; k += comm.size()) {
+        updates.push_back({(k * 37) % 6007, {k}});
+      }
+      flat.update(updates);
+      // Second round overwrites a subset: insert-or-assign semantics.
+      updates.clear();
+      for (std::int64_t k = comm.rank(); k < 1000; k += comm.size()) {
+        updates.push_back({k, {-k}});
+      }
+      flat.update(updates, /*block_limit=*/100);
+
+      std::vector<std::int64_t> keys;
+      for (std::int64_t k = comm.rank(); k < 7000; k += comm.size()) {
+        keys.push_back(k);  // includes keys never inserted
+      }
+      const auto found = flat.enquire(keys);
+      ASSERT_EQ(found.size(), keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto it = oracle.find(keys[i]);
+        EXPECT_EQ(found[i].found, it != oracle.end()) << keys[i];
+        if (it != oracle.end() && found[i].found) {
+          EXPECT_EQ(found[i].value.tag, it->second) << keys[i];
+        }
+      }
+    });
+  }
+}
+
+TEST(FlatHash, GrowsBeyondInitialCapacity) {
+  struct Tag {
+    std::int64_t tag = 0;
+  };
+  mp::run_ranks(1, kZero, [&](mp::Comm& comm) {
+    core::DistributedFlatHashTable<Tag> table(comm, 8);
+    const std::size_t initial = table.local_capacity();
+    std::vector<core::DistributedFlatHashTable<Tag>::Update> updates;
+    for (std::int64_t k = 0; k < 2000; ++k) updates.push_back({k, {k * 3}});
+    table.update(updates);
+    EXPECT_EQ(table.local_entries(), 2000u);
+    EXPECT_GT(table.local_capacity(), initial);
+    // Load factor stays under the 70% rehash threshold.
+    EXPECT_LE((table.local_entries() + 1) * 10, table.local_capacity() * 7 +
+                                                    10);
+    std::vector<std::int64_t> keys;
+    for (std::int64_t k = 0; k < 2000; ++k) keys.push_back(k);
+    const auto found = table.enquire(keys);
+    for (std::int64_t k = 0; k < 2000; ++k) {
+      ASSERT_TRUE(found[static_cast<std::size_t>(k)].found) << k;
+      EXPECT_EQ(found[static_cast<std::size_t>(k)].value.tag, k * 3);
+    }
+  });
+}
+
+TEST(FlatHash, MetricsCountAppliedEntriesNotRehashMoves) {
+  for (const int p : {1, 3}) {
+    const mp::RunResult run = mp::run_ranks(p, kZero, [](mp::Comm& comm) {
+      // 8 buckets seed a 16-slot table, so 2,000 distinct keys force
+      // several doublings, each of which moves every live slot.
+      Flat table(comm, 8);
+      std::vector<Flat::Update> updates;
+      for (std::int64_t k = comm.rank(); k < 2000; k += comm.size()) {
+        updates.push_back({k, {k}});
+      }
+      table.update(updates);
+      updates.clear();
+      for (std::int64_t k = comm.rank(); k < 500; k += comm.size()) {
+        updates.push_back({k, {-k}});  // overwrites
+      }
+      table.update(updates, /*block_limit=*/64);
+      std::vector<std::int64_t> keys;
+      for (std::int64_t k = comm.rank(); k < 2500; k += comm.size()) {
+        keys.push_back(k);  // the last 500 were never inserted
+      }
+      (void)table.enquire(keys);
+    });
+    const mp::MetricsSnapshot& metrics = run.metrics;
+    EXPECT_GT(metrics.value("hash.grows"), 0.0) << "p=" << p;
+    EXPECT_EQ(metrics.value("hash.updates"), 2500.0) << "p=" << p;
+    EXPECT_EQ(metrics.value("hash.lookups"), 2500.0) << "p=" << p;
+    const mp::Metric* probes = metrics.find("hash.probe_length");
+    ASSERT_NE(probes, nullptr);
+    EXPECT_EQ(probes->histogram.count, 2500u + 2500u) << "p=" << p;
   }
 }
 
