@@ -38,7 +38,6 @@
 #include "mp/collectives.hpp"
 #include "mp/metrics.hpp"
 #include "sort/partition_util.hpp"
-#include "sort/rebalance.hpp"
 #include "sort/sample_sort.hpp"
 
 namespace scalparc::core {

@@ -1,4 +1,4 @@
-// Small helpers shared by the parallel sort and rebalance primitives.
+// Block-distribution helpers shared by the Presort and the engines' re-tiling.
 #pragma once
 
 #include <cstddef>
@@ -24,5 +24,11 @@ std::vector<std::size_t> weighted_partition_sizes(std::size_t total,
 // Exclusive prefix (start offsets) of a size vector, plus the total as the
 // final element; result has sizes.size() + 1 entries.
 std::vector<std::size_t> offsets_from_sizes(const std::vector<std::size_t>& sizes);
+
+// The rank whose chunk holds `global_index`, given chunk offsets
+// (target_offsets.size() == p + 1); empty chunks are skipped. Throws
+// std::out_of_range for an index at or beyond the total.
+int owner_of_global_index(std::size_t global_index,
+                          const std::vector<std::size_t>& target_offsets);
 
 }  // namespace scalparc::sort

@@ -1,16 +1,24 @@
-// Scalable parallel sample sort (the paper's Presort phase).
+// Scalable parallel sample sort and the order-preserving parallel shift (the
+// paper's Presort phase).
 //
 // ScalParC sorts every continuous attribute list exactly once, using "the
 // scalable parallel sample sort algorithm followed by a parallel shift
-// operation" (§4). This header implements sample sort over any trivially
-// copyable element type with a strict-weak-order comparator:
+// operation" (§4). Both steps are written once here, over a record plane
+// (below), for two layouts: vectors of trivially copyable entries under a
+// strict-weak-order comparator, and the ContinuousColumns every exact fit
+// presorts, ordered by (value, rid).
 //
+// Sample sort:
 //   1. sort locally;
 //   2. pick p-1 regular samples per rank, gather them, choose p-1 global
 //      splitters from the sorted sample set;
 //   3. partition local data by the splitters and exchange with one
 //      all-to-all personalized communication;
 //   4. merge the received sorted runs.
+//
+// The shift then moves the rank-ordered result so that rank i holds exactly
+// target_sizes[i] records, preserving global order. With equal targets it
+// restores the equal-fragments layout the induction phases assume.
 //
 // The comparator must induce a total order for the exchange to be
 // deterministic under duplicate keys; attribute lists use (value, rid).
@@ -20,40 +28,271 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "data/attribute_list.hpp"
 #include "mp/collectives.hpp"
 #include "mp/comm.hpp"
-#include "sort/columns_wire.hpp"
 #include "sort/partition_util.hpp"
-#include "sort/rebalance.hpp"
 
 namespace scalparc::sort {
 
 namespace detail {
 
-// Merges k sorted runs laid out contiguously in `data` with boundaries
-// `offsets` (offsets.size() == k + 1) using pairwise std::inplace_merge.
-template <typename T, typename Less>
-void merge_runs(std::vector<T>& data, std::vector<std::size_t> offsets,
-                Less less) {
-  while (offsets.size() > 2) {
-    std::vector<std::size_t> next;
-    next.reserve(offsets.size() / 2 + 1);
-    next.push_back(offsets.front());
-    for (std::size_t i = 0; i + 2 < offsets.size(); i += 2) {
-      std::inplace_merge(data.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-                         data.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]),
-                         data.begin() + static_cast<std::ptrdiff_t>(offsets[i + 2]),
-                         less);
-      next.push_back(offsets[i + 2]);
-    }
-    if (offsets.size() % 2 == 0) next.push_back(offsets.back());
-    offsets = std::move(next);
+// A record plane is one rank's records in one layout. The algorithms below
+// touch them only through:
+//   key(i), key_less(a, b)  the sort key at an index (samples and splitters
+//                           travel as Key) and the order of two keys;
+//   less(i, j)              the comparison of the records at two indices;
+//   gather(order)           reorders the records by an index order;
+//   pack(begin, end, out)   writes records [begin, end) in wire form,
+//   unpack(bytes)           bytes_per_record each, and appends such a slice;
+// plus size(), reserve() and clear(). Slices handed to pack and unpack are
+// never empty (an empty vector may hold a null pointer).
+
+// Copy n elements of one column to or from a packed segment and return the
+// cursor past them.
+template <typename C>
+std::byte* put_column(const std::vector<C>& column, std::size_t begin,
+                      std::size_t n, std::byte* out) {
+  std::memcpy(out, column.data() + begin, n * sizeof(C));
+  return out + n * sizeof(C);
+}
+
+template <typename C>
+const std::byte* take_column(const std::byte* in, std::size_t n,
+                             std::vector<C>& column, std::size_t base) {
+  std::memcpy(column.data() + base, in, n * sizeof(C));
+  return in + n * sizeof(C);
+}
+
+// Entries under `Less`; a slice travels as its element bytes.
+template <mp::WireType T, typename Less = std::less<>>
+struct EntryPlane {
+  using Key = T;
+  static constexpr std::size_t bytes_per_record = sizeof(T);
+
+  std::vector<T> records;
+  Less compare;
+
+  std::size_t size() const { return records.size(); }
+  void reserve(std::size_t n) { records.reserve(n); }
+  void clear() { records.clear(); }
+  const T& key(std::size_t i) const { return records[i]; }
+  bool key_less(const T& a, const T& b) const { return compare(a, b); }
+  bool less(std::size_t a, std::size_t b) const {
+    return compare(records[a], records[b]);
   }
+  void gather(std::span<const std::size_t> by) {
+    std::vector<T> out;
+    out.reserve(by.size());
+    for (const std::size_t i : by) out.push_back(records[i]);
+    records = std::move(out);
+  }
+  void pack(std::size_t begin, std::size_t end, std::byte* out) const {
+    put_column(records, begin, end - begin, out);
+  }
+  void unpack(std::span<const std::byte> in) {
+    const std::size_t n = in.size() / bytes_per_record;
+    const std::size_t base = size();
+    records.resize(base + n);
+    take_column(in.data(), n, records, base);
+  }
+};
+
+// Splitter wire form of the column plane.
+struct ValueRid {
+  double value = 0.0;
+  std::int64_t rid = 0;
+};
+
+// Columns ordered by (value, rid); a slice travels as one packed segment
+// [values | rids | cls], 20 bytes per record like the in-memory layout.
+struct ColumnPlane {
+  using Key = ValueRid;
+  static constexpr std::size_t bytes_per_record =
+      data::ContinuousColumns::bytes_per_record;
+
+  data::ContinuousColumns records;
+
+  std::size_t size() const { return records.size(); }
+  void reserve(std::size_t n) { records.reserve(n); }
+  void clear() { records.clear(); }
+  ValueRid key(std::size_t i) const {
+    return ValueRid{records.values[i], records.rids[i]};
+  }
+  static bool key_less(const ValueRid& a, const ValueRid& b) {
+    if (a.value != b.value) return a.value < b.value;
+    return a.rid < b.rid;
+  }
+  // Reads the rids only on a value tie.
+  bool less(std::size_t a, std::size_t b) const {
+    if (records.values[a] != records.values[b]) {
+      return records.values[a] < records.values[b];
+    }
+    return records.rids[a] < records.rids[b];
+  }
+  void gather(std::span<const std::size_t> by) {
+    data::ContinuousColumns out;
+    out.resize(by.size());
+    for (std::size_t i = 0; i < by.size(); ++i) out.set(i, records, by[i]);
+    records = std::move(out);
+  }
+  void pack(std::size_t begin, std::size_t end, std::byte* out) const {
+    const std::size_t n = end - begin;
+    out = put_column(records.values, begin, n, out);
+    out = put_column(records.rids, begin, n, out);
+    put_column(records.cls, begin, n, out);
+  }
+  void unpack(std::span<const std::byte> in) {
+    const std::size_t n = in.size() / bytes_per_record;
+    const std::size_t base = size();
+    records.resize(base + n);
+    const std::byte* at = take_column(in.data(), n, records.values, base);
+    at = take_column(at, n, records.rids, base);
+    take_column(at, n, records.cls, base);
+  }
+};
+
+inline std::vector<std::size_t> identity_order(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
+}
+
+// Merges the sorted runs of `order` (run r spans [runs[r], runs[r + 1]))
+// pairwise, in place.
+template <typename Less>
+void merge_runs(std::vector<std::size_t>& order, std::vector<std::size_t> runs,
+                Less less) {
+  while (runs.size() > 2) {
+    std::vector<std::size_t> next{runs.front()};
+    for (std::size_t i = 0; i + 2 < runs.size(); i += 2) {
+      std::inplace_merge(
+          order.begin() + static_cast<std::ptrdiff_t>(runs[i]),
+          order.begin() + static_cast<std::ptrdiff_t>(runs[i + 1]),
+          order.begin() + static_cast<std::ptrdiff_t>(runs[i + 2]), less);
+      next.push_back(runs[i + 2]);
+    }
+    if (runs.size() % 2 == 0) next.push_back(runs.back());
+    runs = std::move(next);
+  }
+}
+
+// Sends records [cuts[d], cuts[d + 1]) to rank d in packed wire form with one
+// all-to-all and refills `plane` with the arrivals in source rank order.
+// Returns the offsets of each source's run in the refilled plane.
+template <typename Plane>
+std::vector<std::size_t> exchange(mp::Comm& comm, Plane& plane,
+                                  const std::vector<std::size_t>& cuts) {
+  const std::size_t p = cuts.size() - 1;
+  std::vector<std::vector<std::byte>> sendbufs(p);
+  for (std::size_t d = 0; d < p; ++d) {
+    if (cuts[d] == cuts[d + 1]) continue;
+    sendbufs[d].resize((cuts[d + 1] - cuts[d]) * Plane::bytes_per_record);
+    plane.pack(cuts[d], cuts[d + 1], sendbufs[d].data());
+  }
+  plane.clear();
+  const std::vector<std::vector<std::byte>> recvbufs =
+      mp::alltoallv(comm, sendbufs);
+
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(p + 1);
+  for (const auto& run : recvbufs) {
+    if (run.size() % Plane::bytes_per_record != 0) {
+      throw std::logic_error("sort: received a partial record");
+    }
+    offsets.push_back(offsets.back() + run.size() / Plane::bytes_per_record);
+  }
+  plane.reserve(offsets.back());
+  for (const auto& run : recvbufs) {
+    if (!run.empty()) plane.unpack(run);
+  }
+  return offsets;
+}
+
+// Both sorts run over an index permutation (8-byte moves whatever the record
+// width), so each record moves once per sort, in the gather.
+template <typename Plane>
+void sample_sort_plane(mp::Comm& comm, Plane& plane) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  const std::size_t n = plane.size();
+  const auto index_less = [&plane](std::size_t a, std::size_t b) {
+    return plane.less(a, b);
+  };
+
+  std::vector<std::size_t> order = identity_order(n);
+  std::sort(order.begin(), order.end(), index_less);
+  plane.gather(order);
+  if (n > 0) {
+    comm.add_work(static_cast<double>(n) *
+                  std::log2(static_cast<double>(n) + 1.0));
+  }
+  if (p == 1) return;
+
+  // Regular sampling: p-1 samples per rank.
+  using Key = typename Plane::Key;
+  std::vector<Key> samples;
+  samples.reserve(p - 1);
+  for (std::size_t i = 1; i < p && n > 0; ++i) {
+    samples.push_back(plane.key(std::min(i * n / p, n - 1)));
+  }
+  std::vector<Key> all_samples =
+      mp::allgatherv_concat(comm, std::span<const Key>(samples));
+  std::sort(all_samples.begin(), all_samples.end(),
+            [&plane](const Key& a, const Key& b) { return plane.key_less(a, b); });
+
+  // p-1 splitters chosen regularly from the gathered samples; slice d ends at
+  // the first record above splitter d.
+  std::vector<std::size_t> cuts(p + 1, n);
+  cuts[0] = 0;
+  const std::size_t m = all_samples.size();
+  for (std::size_t i = 1; i < p && m > 0; ++i) {
+    const Key& splitter = all_samples[std::min(i * m / p, m - 1)];
+    std::size_t lo = cuts[i - 1];
+    std::size_t hi = n;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (plane.key_less(splitter, plane.key(mid))) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    cuts[i] = lo;
+  }
+
+  std::vector<std::size_t> runs = exchange(comm, plane, cuts);
+  order = identity_order(plane.size());
+  merge_runs(order, std::move(runs), index_less);
+  plane.gather(order);
+  comm.add_work(static_cast<double>(plane.size()) *
+                std::log2(static_cast<double>(p) + 1.0));
+}
+
+template <typename Plane>
+void shift_plane(mp::Comm& comm, Plane& plane,
+                 const std::vector<std::size_t>& target_sizes) {
+  if (comm.size() == 1) return;
+  const std::size_t n = plane.size();
+  const auto start = static_cast<std::size_t>(mp::exscan_value(
+      comm, static_cast<std::uint64_t>(n), mp::SumOp{}, std::uint64_t{0}));
+  const std::vector<std::size_t> target_offsets =
+      offsets_from_sizes(target_sizes);
+  if (start + n > target_offsets.back()) {
+    throw std::out_of_range("rebalance: records beyond the target total");
+  }
+  // Rank d receives the overlap of [start, start + n) with its target range.
+  std::vector<std::size_t> cuts(target_offsets.size());
+  for (std::size_t d = 0; d < cuts.size(); ++d) {
+    cuts[d] = std::clamp(target_offsets[d], start, start + n) - start;
+  }
+  exchange(comm, plane, cuts);
 }
 
 }  // namespace detail
@@ -64,275 +303,45 @@ void merge_runs(std::vector<T>& data, std::vector<std::size_t> offsets,
 // rebalance() afterwards to restore an exact block distribution.
 template <mp::WireType T, typename Less>
 std::vector<T> sample_sort(mp::Comm& comm, std::vector<T> local, Less less) {
-  const int p = comm.size();
-
-  std::sort(local.begin(), local.end(), less);
-  if (!local.empty()) {
-    comm.add_work(static_cast<double>(local.size()) *
-                  std::log2(static_cast<double>(local.size()) + 1.0));
-  }
-  if (p == 1) return local;
-
-  // Regular sampling: p-1 samples per rank.
-  std::vector<T> samples;
-  samples.reserve(static_cast<std::size_t>(p - 1));
-  for (int i = 1; i < p; ++i) {
-    if (local.empty()) break;
-    const std::size_t idx =
-        (static_cast<std::size_t>(i) * local.size()) / static_cast<std::size_t>(p);
-    samples.push_back(local[std::min(idx, local.size() - 1)]);
-  }
-  std::vector<T> all_samples =
-      mp::allgatherv_concat(comm, std::span<const T>(samples));
-  std::sort(all_samples.begin(), all_samples.end(), less);
-
-  // p-1 splitters chosen regularly from the gathered samples.
-  std::vector<T> splitters;
-  splitters.reserve(static_cast<std::size_t>(p - 1));
-  if (!all_samples.empty()) {
-    for (int i = 1; i < p; ++i) {
-      const std::size_t idx = (static_cast<std::size_t>(i) * all_samples.size()) /
-                              static_cast<std::size_t>(p);
-      splitters.push_back(all_samples[std::min(idx, all_samples.size() - 1)]);
-    }
-  }
-
-  // Partition local data into p destination buckets by splitter.
-  std::vector<std::vector<T>> sendbufs(static_cast<std::size_t>(p));
-  if (splitters.empty()) {
-    sendbufs[0] = std::move(local);
-  } else {
-    std::size_t begin = 0;
-    for (int d = 0; d < p; ++d) {
-      std::size_t end;
-      if (d == p - 1) {
-        end = local.size();
-      } else {
-        const auto it = std::upper_bound(
-            local.begin() + static_cast<std::ptrdiff_t>(begin), local.end(),
-            splitters[static_cast<std::size_t>(d)], less);
-        end = static_cast<std::size_t>(it - local.begin());
-      }
-      sendbufs[static_cast<std::size_t>(d)]
-          .assign(local.begin() + static_cast<std::ptrdiff_t>(begin),
-                  local.begin() + static_cast<std::ptrdiff_t>(end));
-      begin = end;
-    }
-    local.clear();
-  }
-
-  std::vector<std::vector<T>> recvbufs = mp::alltoallv(comm, sendbufs);
-
-  // Concatenate the p sorted runs and merge them.
-  std::vector<T> merged;
-  std::vector<std::size_t> run_offsets;
-  run_offsets.reserve(recvbufs.size() + 1);
-  run_offsets.push_back(0);
-  std::size_t total = 0;
-  for (const auto& run : recvbufs) total += run.size();
-  merged.reserve(total);
-  for (auto& run : recvbufs) {
-    merged.insert(merged.end(), run.begin(), run.end());
-    run_offsets.push_back(merged.size());
-  }
-  detail::merge_runs(merged, std::move(run_offsets), less);
-  comm.add_work(static_cast<double>(merged.size()) *
-                std::log2(static_cast<double>(p) + 1.0));
-  return merged;
+  detail::EntryPlane<T, Less> plane{std::move(local), less};
+  detail::sample_sort_plane(comm, plane);
+  return std::move(plane.records);
 }
 
-// ---------------------------------------------------------------------------
-// SoA variant: sample sort over ContinuousColumns by (value, rid).
-//
-// Same algorithm, columnar data plane: the local sort runs over an index
-// permutation (8-byte moves instead of 24-byte struct moves), splitters
-// travel as (value, rid) pairs, and the all-to-all exchanges packed column
-// slices at 20 bytes per record. The global result — the unique totally
-// ordered sequence re-tiled by rank — is identical to sorting the
-// equivalent AoS entries.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-// Splitter wire form for the columnar sort.
-struct ValueRid {
-  double value = 0.0;
-  std::int64_t rid = 0;
-};
-
-struct ValueRidLess {
-  bool operator()(const ValueRid& a, const ValueRid& b) const {
-    if (a.value != b.value) return a.value < b.value;
-    return a.rid < b.rid;
-  }
-};
-
-// Applies permutation `perm` to all three columns (gather pass).
-inline data::ContinuousColumns permute_columns(
-    const data::ContinuousColumns& cols, std::span<const std::size_t> perm) {
-  data::ContinuousColumns out;
-  out.resize(cols.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    out.set(i, cols, perm[i]);
-  }
-  return out;
+// The same sort over columns, by (value, rid).
+inline data::ContinuousColumns sample_sort_columns(
+    mp::Comm& comm, data::ContinuousColumns local) {
+  detail::ColumnPlane plane{std::move(local)};
+  detail::sample_sort_plane(comm, plane);
+  return std::move(plane.records);
 }
 
-// First index in sorted columns whose (value, rid) exceeds the splitter.
-inline std::size_t upper_bound_columns(const data::ContinuousColumns& cols,
-                                       std::size_t begin, const ValueRid& key) {
-  std::size_t lo = begin;
-  std::size_t hi = cols.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const bool key_below = key.value < cols.values[mid] ||
-                           (key.value == cols.values[mid] &&
-                            key.rid < cols.rids[mid]);
-    if (key_below) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+// The order-preserving shift: given that rank i's records globally precede
+// rank i+1's, moves them so that rank i holds exactly target_sizes[i]
+// (target_sizes.size() == p, summing to the global total).
+template <mp::WireType T>
+std::vector<T> rebalance(mp::Comm& comm, std::vector<T> local,
+                         const std::vector<std::size_t>& target_sizes) {
+  detail::EntryPlane<T> plane{std::move(local), {}};
+  detail::shift_plane(comm, plane, target_sizes);
+  return std::move(plane.records);
 }
 
-}  // namespace detail
-
-inline data::ContinuousColumns sample_sort_columns(mp::Comm& comm,
-                                                   data::ContinuousColumns local) {
-  const int p = comm.size();
-  const std::size_t n = local.size();
-
-  // Local sort by permutation, then one gather pass per column.
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::sort(perm.begin(), perm.end(),
-            [&local](std::size_t a, std::size_t b) {
-              if (local.values[a] != local.values[b]) {
-                return local.values[a] < local.values[b];
-              }
-              return local.rids[a] < local.rids[b];
-            });
-  local = detail::permute_columns(local, perm);
-  if (n > 0) {
-    comm.add_work(static_cast<double>(n) *
-                  std::log2(static_cast<double>(n) + 1.0));
-  }
-  if (p == 1) return local;
-
-  // Regular sampling and global splitters, exactly as the AoS path.
-  std::vector<detail::ValueRid> samples;
-  samples.reserve(static_cast<std::size_t>(p - 1));
-  for (int i = 1; i < p; ++i) {
-    if (local.empty()) break;
-    const std::size_t idx =
-        (static_cast<std::size_t>(i) * n) / static_cast<std::size_t>(p);
-    const std::size_t at = std::min(idx, n - 1);
-    samples.push_back(detail::ValueRid{local.values[at], local.rids[at]});
-  }
-  std::vector<detail::ValueRid> all_samples =
-      mp::allgatherv_concat(comm, std::span<const detail::ValueRid>(samples));
-  std::sort(all_samples.begin(), all_samples.end(), detail::ValueRidLess{});
-
-  std::vector<detail::ValueRid> splitters;
-  splitters.reserve(static_cast<std::size_t>(p - 1));
-  if (!all_samples.empty()) {
-    for (int i = 1; i < p; ++i) {
-      const std::size_t idx = (static_cast<std::size_t>(i) * all_samples.size()) /
-                              static_cast<std::size_t>(p);
-      splitters.push_back(all_samples[std::min(idx, all_samples.size() - 1)]);
-    }
-  }
-
-  // Partition into packed per-destination slices and exchange once.
-  std::vector<std::vector<std::byte>> sendbufs(static_cast<std::size_t>(p));
-  if (splitters.empty()) {
-    sendbufs[0] = pack_columns(local, 0, local.size());
-  } else {
-    std::size_t begin = 0;
-    for (int d = 0; d < p; ++d) {
-      const std::size_t end =
-          d == p - 1 ? local.size()
-                     : detail::upper_bound_columns(
-                           local, begin, splitters[static_cast<std::size_t>(d)]);
-      sendbufs[static_cast<std::size_t>(d)] = pack_columns(local, begin, end);
-      begin = end;
-    }
-  }
-  local.clear();
-  std::vector<std::vector<std::byte>> recvbufs = mp::alltoallv(comm, sendbufs);
-
-  // Concatenate the received runs and merge them through an index merge, so
-  // each record moves once in the final gather.
-  data::ContinuousColumns merged;
-  std::vector<std::size_t> run_offsets;
-  run_offsets.reserve(recvbufs.size() + 1);
-  run_offsets.push_back(0);
-  for (const auto& run : recvbufs) {
-    unpack_columns(run, merged);
-    run_offsets.push_back(merged.size());
-  }
-  std::vector<std::size_t> order(merged.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const auto less = [&merged](std::size_t a, std::size_t b) {
-    if (merged.values[a] != merged.values[b]) {
-      return merged.values[a] < merged.values[b];
-    }
-    return merged.rids[a] < merged.rids[b];
-  };
-  while (run_offsets.size() > 2) {
-    std::vector<std::size_t> next;
-    next.reserve(run_offsets.size() / 2 + 1);
-    next.push_back(run_offsets.front());
-    for (std::size_t i = 0; i + 2 < run_offsets.size(); i += 2) {
-      std::inplace_merge(
-          order.begin() + static_cast<std::ptrdiff_t>(run_offsets[i]),
-          order.begin() + static_cast<std::ptrdiff_t>(run_offsets[i + 1]),
-          order.begin() + static_cast<std::ptrdiff_t>(run_offsets[i + 2]), less);
-      next.push_back(run_offsets[i + 2]);
-    }
-    if (run_offsets.size() % 2 == 0) next.push_back(run_offsets.back());
-    run_offsets = std::move(next);
-  }
-  comm.add_work(static_cast<double>(merged.size()) *
-                std::log2(static_cast<double>(p) + 1.0));
-  return detail::permute_columns(merged, order);
-}
-
-// SoA variant of the order-preserving parallel shift (see sort/rebalance.hpp
-// for the contract); exchanges packed column slices.
 inline data::ContinuousColumns rebalance_columns(
     mp::Comm& comm, data::ContinuousColumns local,
     const std::vector<std::size_t>& target_sizes) {
-  const int p = comm.size();
-  if (p == 1) return local;
+  detail::ColumnPlane plane{std::move(local)};
+  detail::shift_plane(comm, plane, target_sizes);
+  return std::move(plane.records);
+}
 
-  const std::uint64_t local_size = local.size();
-  const std::uint64_t my_start =
-      mp::exscan_value(comm, local_size, mp::SumOp{}, std::uint64_t{0});
-  const std::vector<std::size_t> target_offsets =
-      offsets_from_sizes(target_sizes);
-
-  std::vector<std::vector<std::byte>> sendbufs(static_cast<std::size_t>(p));
-  std::size_t cursor = 0;
-  while (cursor < local.size()) {
-    const std::size_t global = static_cast<std::size_t>(my_start) + cursor;
-    const int dst = owner_of_global_index(global, target_offsets);
-    const std::size_t dst_end = target_offsets[static_cast<std::size_t>(dst) + 1];
-    const std::size_t take = std::min(local.size() - cursor, dst_end - global);
-    sendbufs[static_cast<std::size_t>(dst)] =
-        pack_columns(local, cursor, cursor + take);
-    cursor += take;
-  }
-  local.clear();
-
-  std::vector<std::vector<std::byte>> recvbufs = mp::alltoallv(comm, sendbufs);
-  data::ContinuousColumns out;
-  out.reserve(target_sizes[static_cast<std::size_t>(comm.rank())]);
-  // Sources arrive in rank order, which is global order.
-  for (const auto& chunk : recvbufs) unpack_columns(chunk, out);
-  return out;
+// Rebalances to the canonical equal block distribution of the global total.
+template <mp::WireType T>
+std::vector<T> rebalance_equal(mp::Comm& comm, std::vector<T> local) {
+  const std::uint64_t total = mp::allreduce_value(
+      comm, static_cast<std::uint64_t>(local.size()), mp::SumOp{});
+  return rebalance(comm, std::move(local),
+                   equal_partition_sizes(total, comm.size()));
 }
 
 }  // namespace scalparc::sort

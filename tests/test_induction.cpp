@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <sstream>
 
 #include "core/predict.hpp"
@@ -120,6 +121,10 @@ struct PInvarianceCase {
   double noise;
   const char* name;
 };
+
+// Without a PrintTo gtest prints the parameter's raw bytes, name pointer
+// included, into the test names ctest discovers; they would change per run.
+void PrintTo(const PInvarianceCase& c, std::ostream* os) { *os << c.name; }
 
 class PInvariance : public ::testing::TestWithParam<PInvarianceCase> {};
 

@@ -1,9 +1,9 @@
 // Differential property suite for the columnar data plane. Each fast piece
 // is checked against an independent reference: whole trees (clean and
 // killed-and-resumed) against the serial SPRINT oracle, the incremental gini
-// kernel against the recompute scanner, the subset split against a rebuild
-// oracle and the column sample sort/rebalance against the entry versions.
-// The arena rides along.
+// kernel against the recompute scanner and the subset split against a
+// rebuild oracle. The arena rides along. The column Presort's differential
+// tests live in test_sort.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,9 +24,6 @@
 #include "data/synthetic.hpp"
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
-#include "sort/partition_util.hpp"
-#include "sort/rebalance.hpp"
-#include "sort/sample_sort.hpp"
 #include "sprint/serial_sprint.hpp"
 #include "util/arena.hpp"
 
@@ -332,74 +329,6 @@ TEST(SubsetSplitDifferential, IncrementalGreedyMatchesRebuildOracle) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SoA sample sort / rebalance vs the entry versions
-// ---------------------------------------------------------------------------
-
-TEST(SortDifferential, SampleSortColumnsMatchesEntrySort) {
-  for (const int p : {1, 3, 4}) {
-    mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-      std::mt19937 rng(100 + static_cast<unsigned>(comm.rank()));
-      std::uniform_int_distribution<int> value_of(0, 30);
-      std::uniform_int_distribution<int> size_of(5, 60);
-      const int n = size_of(rng);
-      std::vector<data::ContinuousEntry> entries(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        entries[static_cast<std::size_t>(i)].value =
-            static_cast<double>(value_of(rng));
-        entries[static_cast<std::size_t>(i)].rid = comm.rank() * 1000 + i;
-        entries[static_cast<std::size_t>(i)].cls = i % 2;
-      }
-      const data::ContinuousColumns cols = data::columns_from_entries(entries);
-
-      const std::vector<data::ContinuousEntry> sorted_entries =
-          sort::sample_sort(comm, entries, data::ContinuousEntryLess{});
-      const data::ContinuousColumns sorted_cols =
-          sort::sample_sort_columns(comm, cols);
-
-      ASSERT_EQ(sorted_cols.size(), sorted_entries.size());
-      for (std::size_t i = 0; i < sorted_entries.size(); ++i) {
-        EXPECT_EQ(sorted_cols.values[i], sorted_entries[i].value);
-        EXPECT_EQ(sorted_cols.rids[i], sorted_entries[i].rid);
-        EXPECT_EQ(sorted_cols.cls[i], sorted_entries[i].cls);
-      }
-    });
-  }
-}
-
-TEST(SortDifferential, RebalanceColumnsMatchesEntryRebalance) {
-  const int p = 4;
-  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-    // Deliberately skewed local sizes.
-    const std::size_t n = static_cast<std::size_t>(comm.rank()) * 13 + 2;
-    std::vector<data::ContinuousEntry> entries(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      entries[i].value = static_cast<double>(comm.rank()) + 0.01 * static_cast<double>(i);
-      entries[i].rid = comm.rank() * 100 + static_cast<std::int64_t>(i);
-      entries[i].cls = static_cast<std::int32_t>(i % 2);
-    }
-    const data::ContinuousColumns cols = data::columns_from_entries(entries);
-    std::uint64_t total = mp::allreduce_value(
-        comm, static_cast<std::uint64_t>(n), mp::SumOp{});
-    const std::vector<std::size_t> targets =
-        sort::equal_partition_sizes(total, static_cast<std::size_t>(p));
-
-    const std::vector<data::ContinuousEntry> balanced_entries =
-        sort::rebalance(comm, entries, targets);
-    const data::ContinuousColumns balanced_cols =
-        sort::rebalance_columns(comm, cols, targets);
-
-    ASSERT_EQ(balanced_cols.size(), balanced_entries.size());
-    EXPECT_EQ(balanced_cols.size(),
-              targets[static_cast<std::size_t>(comm.rank())]);
-    for (std::size_t i = 0; i < balanced_entries.size(); ++i) {
-      EXPECT_EQ(balanced_cols.values[i], balanced_entries[i].value);
-      EXPECT_EQ(balanced_cols.rids[i], balanced_entries[i].rid);
-      EXPECT_EQ(balanced_cols.cls[i], balanced_entries[i].cls);
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <functional>
 #include <initializer_list>
 #include <limits>
+#include <ostream>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -231,6 +232,9 @@ struct OptionCase {
   core::CategoricalReduction reduction;
   const char* name;
 };
+
+// Prints the case name instead of raw bytes (see PrintTo in test_induction.cpp).
+void PrintTo(const OptionCase& c, std::ostream* os) { *os << c.name; }
 
 class OptionMatrix : public ::testing::TestWithParam<OptionCase> {};
 

@@ -1,15 +1,16 @@
-// Tests for the parallel sample sort and the order-preserving rebalance.
+// Tests for the parallel sample sort and the order-preserving rebalance, over
+// both record planes (entries and columns). Select with `ctest -L sort`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "data/attribute_list.hpp"
 #include "mp/runtime.hpp"
 #include "sort/partition_util.hpp"
-#include "sort/rebalance.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/random.hpp"
 
@@ -232,6 +233,95 @@ TEST(SampleSortIntegration, SortThenRebalanceGivesBlockDistribution) {
   }
   const auto flat = concatenate(outputs);
   EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end()));
+}
+
+// ---------------------------------------------------------------------------
+// Column plane vs entry plane vs a serial std::sort of the gathered input
+// ---------------------------------------------------------------------------
+
+// Expects the columns to hold exactly `entries`, record by record.
+void expect_same_records(const data::ContinuousColumns& cols,
+                         const std::vector<data::ContinuousEntry>& entries) {
+  ASSERT_EQ(cols.size(), entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(cols.values[i], entries[i].value) << "record " << i;
+    EXPECT_EQ(cols.rids[i], entries[i].rid) << "record " << i;
+    EXPECT_EQ(cols.cls[i], entries[i].cls) << "record " << i;
+  }
+}
+
+TEST(SortDifferential, SampleSortColumnsMatchesEntrySort) {
+  for (const int p : {1, 3, 4}) {
+    std::vector<std::vector<data::ContinuousEntry>> inputs(
+        static_cast<std::size_t>(p));
+    std::vector<std::vector<data::ContinuousEntry>> outputs(
+        static_cast<std::size_t>(p));
+    mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+      std::mt19937 rng(100 + static_cast<unsigned>(comm.rank()));
+      std::uniform_int_distribution<int> value_of(0, 30);
+      std::uniform_int_distribution<int> size_of(5, 60);
+      const int n = size_of(rng);
+      std::vector<data::ContinuousEntry> entries(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        entries[static_cast<std::size_t>(i)].value =
+            static_cast<double>(value_of(rng));
+        entries[static_cast<std::size_t>(i)].rid = comm.rank() * 1000 + i;
+        entries[static_cast<std::size_t>(i)].cls = i % 2;
+      }
+      const data::ContinuousColumns cols = data::columns_from_entries(entries);
+      inputs[static_cast<std::size_t>(comm.rank())] = entries;
+
+      const std::vector<data::ContinuousEntry> sorted_entries =
+          sort::sample_sort(comm, entries, data::ContinuousEntryLess{});
+      const data::ContinuousColumns sorted_cols =
+          sort::sample_sort_columns(comm, cols);
+
+      expect_same_records(sorted_cols, sorted_entries);
+      outputs[static_cast<std::size_t>(comm.rank())] = sorted_entries;
+    });
+    std::vector<data::ContinuousEntry> expected = concatenate(inputs);
+    std::sort(expected.begin(), expected.end(), data::ContinuousEntryLess{});
+    const std::vector<data::ContinuousEntry> got = concatenate(outputs);
+    expect_same_records(data::columns_from_entries(got), expected);
+  }
+}
+
+TEST(SortDifferential, RebalanceColumnsMatchesEntryRebalance) {
+  const int p = 4;
+  std::vector<std::vector<data::ContinuousEntry>> inputs(
+      static_cast<std::size_t>(p));
+  std::vector<std::vector<data::ContinuousEntry>> outputs(
+      static_cast<std::size_t>(p));
+  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+    // Deliberately skewed local sizes.
+    const std::size_t n = static_cast<std::size_t>(comm.rank()) * 13 + 2;
+    std::vector<data::ContinuousEntry> entries(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      entries[i].value = static_cast<double>(comm.rank()) + 0.01 * static_cast<double>(i);
+      entries[i].rid = comm.rank() * 100 + static_cast<std::int64_t>(i);
+      entries[i].cls = static_cast<std::int32_t>(i % 2);
+    }
+    const data::ContinuousColumns cols = data::columns_from_entries(entries);
+    inputs[static_cast<std::size_t>(comm.rank())] = entries;
+    std::uint64_t total = mp::allreduce_value(
+        comm, static_cast<std::uint64_t>(n), mp::SumOp{});
+    const std::vector<std::size_t> targets =
+        sort::equal_partition_sizes(total, p);
+
+    const std::vector<data::ContinuousEntry> balanced_entries =
+        sort::rebalance(comm, entries, targets);
+    const data::ContinuousColumns balanced_cols =
+        sort::rebalance_columns(comm, cols, targets);
+
+    EXPECT_EQ(balanced_cols.size(),
+              targets[static_cast<std::size_t>(comm.rank())]);
+    expect_same_records(balanced_cols, balanced_entries);
+    outputs[static_cast<std::size_t>(comm.rank())] = balanced_entries;
+  });
+  std::vector<data::ContinuousEntry> expected = concatenate(inputs);
+  std::sort(expected.begin(), expected.end(), data::ContinuousEntryLess{});
+  expect_same_records(data::columns_from_entries(concatenate(outputs)),
+                      expected);
 }
 
 }  // namespace
