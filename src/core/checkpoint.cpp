@@ -21,6 +21,7 @@
 #include "core/tree_io.hpp"
 #include "mp/telemetry.hpp"
 #include "util/crc32.hpp"
+#include "util/read_all.hpp"
 
 namespace scalparc::core {
 
@@ -53,9 +54,7 @@ void maybe_inject_write_fault(const std::string& what) {
 std::string read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw CheckpointCorruptError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return util::read_all(in);
 }
 
 // Writes `text` to `path` and fsyncs it, under the transient-I/O retry.

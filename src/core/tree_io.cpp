@@ -1,17 +1,23 @@
 #include "core/tree_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
+
+#include "util/read_all.hpp"
 
 namespace scalparc::core {
 
@@ -43,16 +49,21 @@ double hex_to_double(const std::string& text, int line) {
   return value;
 }
 
-// Line-at-a-time reader tracking the current line number. The format is
+// Line-at-a-time reader over the whole input, tracking the current line
+// number. Lines are split as std::getline splits them (a last line without
+// '\n' still counts) and lose one trailing '\r'. The format is
 // line-oriented (one node per line), so structural errors always have a
 // well-defined location.
 class LineReader {
  public:
-  explicit LineReader(std::istream& in) : in_(in) {}
+  explicit LineReader(std::string_view text) : rest_(text) {}
 
-  bool next(std::string& out) {
-    if (!std::getline(in_, out)) return false;
-    if (!out.empty() && out.back() == '\r') out.pop_back();
+  bool next(std::string_view& out) {
+    if (rest_.empty()) return false;
+    const std::size_t newline = std::min(rest_.find('\n'), rest_.size());
+    out = rest_.substr(0, newline);
+    rest_.remove_prefix(std::min(newline + 1, rest_.size()));
+    if (!out.empty() && out.back() == '\r') out.remove_suffix(1);
     ++line_;
     return true;
   }
@@ -60,13 +71,70 @@ class LineReader {
   int line() const { return line_; }
 
  private:
-  std::istream& in_;
+  std::string_view rest_;
   int line_ = 0;
 };
 
+// The fields of one line, read in place exactly as `std::istringstream >>`
+// reads them in the classic locale: a word is a run of non-space characters;
+// a number is an optional sign and decimal digits, and it may end inside a
+// word ("5x" reads 5 and leaves "x" for the next field).
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  bool word(std::string_view& out) {
+    skip_space();
+    if (rest_.empty()) return false;
+    std::size_t length = 0;
+    while (length < rest_.size() && !is_space(rest_[length])) ++length;
+    out = rest_.substr(0, length);
+    rest_.remove_prefix(length);
+    return true;
+  }
+
+  bool word(std::string& out) {
+    std::string_view view;
+    if (!word(view)) return false;
+    out.assign(view);
+    return true;
+  }
+
+  template <typename T>
+  bool number(T& out) {
+    skip_space();
+    const char* first = rest_.data();
+    const char* const last = first + rest_.size();
+    // `>>` takes a leading '+', std::from_chars only a '-'.
+    if (last - first > 1 && first[0] == '+' && first[1] >= '0' &&
+        first[1] <= '9') {
+      ++first;
+    }
+    const std::from_chars_result result = std::from_chars(first, last, out);
+    if (result.ec != std::errc()) return false;
+    rest_.remove_prefix(static_cast<std::size_t>(result.ptr - rest_.data()));
+    return true;
+  }
+
+  // True when only whitespace is left.
+  bool done() {
+    skip_space();
+    return rest_.empty();
+  }
+
+ private:
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+  void skip_space() {
+    while (!rest_.empty() && is_space(rest_.front())) rest_.remove_prefix(1);
+  }
+
+  std::string_view rest_;
+};
+
 // True when `text` contains nothing but whitespace.
-bool blank(const std::string& text) {
-  return text.find_first_not_of(" \t") == std::string::npos;
+bool blank(std::string_view text) {
+  return text.find_first_not_of(" \t") == std::string_view::npos;
 }
 
 }  // namespace
@@ -119,8 +187,9 @@ void save_tree_file(const DecisionTree& tree, const std::string& path) {
 }
 
 DecisionTree load_tree(std::istream& in) {
-  LineReader reader(in);
-  std::string line;
+  const std::string text = util::read_all(in);
+  LineReader reader(text);
+  std::string_view line;
   if (!reader.next(line) || line != "scalparc-tree v1") {
     fail_at(1, "missing 'scalparc-tree v1' header");
   }
@@ -128,10 +197,10 @@ DecisionTree load_tree(std::istream& in) {
   std::int32_t num_classes = 0;
   {
     if (!reader.next(line)) fail_at(reader.line() + 1, "missing classes line");
-    std::istringstream fields(line);
-    std::string token;
-    if (!(fields >> token >> num_classes) || token != "classes" ||
-        num_classes < 2) {
+    Fields fields(line);
+    std::string_view token;
+    if (!(fields.word(token) && fields.number(num_classes)) ||
+        token != "classes" || num_classes < 2) {
       fail_at(reader.line(), "bad classes line");
     }
   }
@@ -143,36 +212,37 @@ DecisionTree load_tree(std::istream& in) {
     if (!reader.next(line)) {
       fail_at(reader.line() + 1, "unexpected end of input (no nodes line)");
     }
-    std::istringstream fields(line);
-    std::string token;
-    if (!(fields >> token)) fail_at(reader.line(), "blank line in header");
+    Fields fields(line);
+    std::string_view token;
+    if (!fields.word(token)) fail_at(reader.line(), "blank line in header");
     if (token == "nodes") {
-      if (!(fields >> num_nodes) || num_nodes < 0) {
+      if (!fields.number(num_nodes) || num_nodes < 0) {
         fail_at(reader.line(), "bad node count");
       }
-      std::string extra;
-      if (fields >> extra) fail_at(reader.line(), "trailing field on nodes line");
+      if (!fields.done()) fail_at(reader.line(), "trailing field on nodes line");
       break;
     }
     if (token != "attr") {
-      fail_at(reader.line(), "expected 'attr' or 'nodes', got '" + token + "'");
+      fail_at(reader.line(),
+              "expected 'attr' or 'nodes', got '" + std::string(token) + "'");
     }
     std::string name;
-    std::string kind;
-    if (!(fields >> name >> kind)) fail_at(reader.line(), "bad attr line");
+    std::string_view kind;
+    if (!(fields.word(name) && fields.word(kind))) {
+      fail_at(reader.line(), "bad attr line");
+    }
     if (kind == "cont") {
       attributes.push_back(data::Schema::continuous(name));
     } else if (kind == "cat") {
       std::int32_t cardinality = 0;
-      if (!(fields >> cardinality) || cardinality < 1) {
+      if (!fields.number(cardinality) || cardinality < 1) {
         fail_at(reader.line(), "bad categorical cardinality");
       }
       attributes.push_back(data::Schema::categorical(name, cardinality));
     } else {
-      fail_at(reader.line(), "bad attribute kind '" + kind + "'");
+      fail_at(reader.line(), "bad attribute kind '" + std::string(kind) + "'");
     }
-    std::string extra;
-    if (fields >> extra) fail_at(reader.line(), "trailing field on attr line");
+    if (!fields.done()) fail_at(reader.line(), "trailing field on attr line");
   }
 
   DecisionTree tree(data::Schema(std::move(attributes), num_classes));
@@ -185,6 +255,7 @@ DecisionTree load_tree(std::istream& in) {
   // cycles and shared subtrees unrepresentable, so a hostile snapshot can
   // never smuggle a non-tree graph past the loader.
   std::vector<char> has_parent(static_cast<std::size_t>(num_nodes), 0);
+  std::string threshold;
 
   for (int expected = 0; expected < num_nodes; ++expected) {
     if (!reader.next(line)) {
@@ -193,16 +264,18 @@ DecisionTree load_tree(std::istream& in) {
                   std::to_string(num_nodes) + " node(s), got " +
                   std::to_string(expected));
     }
-    std::istringstream fields(line);
-    std::string token;
+    Fields fields(line);
+    std::string_view token;
     int id = 0;
-    std::string kind;
-    if (!(fields >> token >> id >> kind) || token != "node" || id != expected) {
+    std::string_view kind;
+    if (!(fields.word(token) && fields.number(id) && fields.word(kind)) ||
+        token != "node" || id != expected) {
       fail_at(reader.line(),
               "bad node line (expected node " + std::to_string(expected) + ")");
     }
     TreeNode node;
-    if (!(fields >> node.depth >> node.num_records >> node.majority_class)) {
+    if (!(fields.number(node.depth) && fields.number(node.num_records) &&
+          fields.number(node.majority_class))) {
       fail_at(reader.line(), "bad node header");
     }
     if (node.majority_class < 0 || node.majority_class >= num_classes) {
@@ -210,13 +283,13 @@ DecisionTree load_tree(std::istream& in) {
     }
     node.class_counts.resize(static_cast<std::size_t>(num_classes));
     for (auto& count : node.class_counts) {
-      if (!(fields >> count)) fail_at(reader.line(), "bad class counts");
+      if (!fields.number(count)) fail_at(reader.line(), "bad class counts");
     }
     if (kind == "leaf") {
       node.is_leaf = true;
     } else if (kind == "cont" || kind == "cat") {
       node.is_leaf = false;
-      if (!(fields >> node.split.attribute)) {
+      if (!fields.number(node.split.attribute)) {
         fail_at(reader.line(), "bad split attribute");
       }
       if (node.split.attribute < 0 ||
@@ -232,22 +305,22 @@ DecisionTree load_tree(std::istream& in) {
         }
         node.split.kind = data::AttributeKind::kContinuous;
         node.split.num_children = 2;
-        if (!(fields >> token)) fail_at(reader.line(), "bad threshold");
-        node.split.threshold = hex_to_double(token, reader.line());
+        if (!fields.word(threshold)) fail_at(reader.line(), "bad threshold");
+        node.split.threshold = hex_to_double(threshold, reader.line());
       } else {
         if (info.kind != data::AttributeKind::kCategorical) {
           fail_at(reader.line(), "categorical split on continuous attribute '" +
                                      info.name + "'");
         }
         node.split.kind = data::AttributeKind::kCategorical;
-        if (!(fields >> node.split.num_children) ||
+        if (!fields.number(node.split.num_children) ||
             node.split.num_children < 2) {
           fail_at(reader.line(), "bad child count");
         }
         node.split.value_to_child.resize(
             static_cast<std::size_t>(info.cardinality));
         for (auto& slot : node.split.value_to_child) {
-          if (!(fields >> slot)) fail_at(reader.line(), "bad value_to_child");
+          if (!fields.number(slot)) fail_at(reader.line(), "bad value_to_child");
           if (slot < -1 || slot >= node.split.num_children) {
             fail_at(reader.line(), "value_to_child slot " +
                                        std::to_string(slot) + " out of range");
@@ -256,7 +329,7 @@ DecisionTree load_tree(std::istream& in) {
       }
       node.children.resize(static_cast<std::size_t>(node.split.num_children));
       for (auto& child : node.children) {
-        if (!(fields >> child)) fail_at(reader.line(), "bad child id");
+        if (!fields.number(child)) fail_at(reader.line(), "bad child id");
         if (child < 0 || child >= num_nodes) {
           fail_at(reader.line(), "child id " + std::to_string(child) +
                                      " out of range [0, " +
@@ -275,11 +348,12 @@ DecisionTree load_tree(std::istream& in) {
         has_parent[static_cast<std::size_t>(child)] = 1;
       }
     } else {
-      fail_at(reader.line(), "bad node kind '" + kind + "'");
+      fail_at(reader.line(), "bad node kind '" + std::string(kind) + "'");
     }
-    std::string extra;
-    if (fields >> extra) {
-      fail_at(reader.line(), "trailing field '" + extra + "' on node line");
+    std::string_view extra;
+    if (fields.word(extra)) {
+      fail_at(reader.line(),
+              "trailing field '" + std::string(extra) + "' on node line");
     }
     tree.add_node(std::move(node));
   }
@@ -303,7 +377,7 @@ DecisionTree load_tree(std::istream& in) {
 }
 
 DecisionTree load_tree_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) fail("cannot open '" + path + "' for reading");
   return load_tree(in);
 }

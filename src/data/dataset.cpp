@@ -1,10 +1,12 @@
 #include "data/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace scalparc::data {
@@ -21,6 +23,26 @@ Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
       categorical_columns_.emplace_back();
     }
   }
+}
+
+Dataset::Dataset(Schema schema, std::vector<std::vector<double>> continuous,
+                 std::vector<std::vector<std::int32_t>> categorical,
+                 std::vector<std::int32_t> labels)
+    : Dataset(std::move(schema)) {
+  if (continuous.size() != continuous_columns_.size() ||
+      categorical.size() != categorical_columns_.size()) {
+    throw std::invalid_argument("Dataset: column count mismatch");
+  }
+  const auto same_length = [&](const auto& column) {
+    return column.size() == labels.size();
+  };
+  if (!std::all_of(continuous.begin(), continuous.end(), same_length) ||
+      !std::all_of(categorical.begin(), categorical.end(), same_length)) {
+    throw std::invalid_argument("Dataset: column length mismatch");
+  }
+  continuous_columns_ = std::move(continuous);
+  categorical_columns_ = std::move(categorical);
+  labels_ = std::move(labels);
 }
 
 int Dataset::column_slot(int attribute, AttributeKind expected) const {

@@ -19,6 +19,13 @@ class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema);
+  // Adopts whole columns: `continuous` / `categorical` hold the columns of
+  // the schema's continuous / categorical attributes in schema order, each as
+  // long as `labels`. Throws std::invalid_argument when a count or a length
+  // does not match; the values are checked by validate(), not here.
+  Dataset(Schema schema, std::vector<std::vector<double>> continuous,
+          std::vector<std::vector<std::int32_t>> categorical,
+          std::vector<std::int32_t> labels);
 
   const Schema& schema() const { return schema_; }
   std::size_t num_records() const { return labels_.size(); }

@@ -1,7 +1,7 @@
-// Robustness and fuzzing: malformed persisted artifacts must throw (never
-// crash or silently mis-parse), non-finite inputs are rejected, adversarial
-// data shapes train correctly, and the full option matrix preserves
-// processor-count invariance.
+// Robustness: damaged checkpoints must throw (never crash or silently
+// mis-parse), non-finite inputs are rejected, adversarial data shapes train
+// correctly, and the full option matrix preserves processor-count
+// invariance. The CSV and tree-file readers are fuzzed in test_data.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,7 +21,6 @@
 #include "core/scalparc.hpp"
 #include "core/tree_io.hpp"
 #include "data/attribute_list.hpp"
-#include "data/csv.hpp"
 #include "data/synthetic.hpp"
 #include "sprint/serial_sprint.hpp"
 #include "util/crc32.hpp"
@@ -50,95 +49,6 @@ TEST(NonFinite, ValidateRejectsInfinity) {
   const double inf_value[] = {std::numeric_limits<double>::infinity()};
   d.append(inf_value, {}, 0);
   EXPECT_THROW(d.validate(), std::invalid_argument);
-}
-
-TEST(NonFinite, CsvReaderRejectsNaN) {
-  std::stringstream in("x:cont,class:2\nnan,0\n1.0,1\n");
-  EXPECT_THROW((void)data::read_csv(in), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// CSV fuzzing: random mutations of a valid file must either parse or throw.
-// ---------------------------------------------------------------------------
-
-TEST(CsvFuzz, MutatedFilesNeverCrash) {
-  data::GeneratorConfig config;
-  config.seed = 99;
-  const data::QuestGenerator generator(config);
-  std::stringstream original;
-  data::write_csv(generator.generate(0, 30), original);
-  const std::string base = original.str();
-
-  util::Rng rng(4242);
-  int parsed = 0;
-  int rejected = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string mutated = base;
-    const int edits = 1 + static_cast<int>(rng.next_below(4));
-    for (int e = 0; e < edits; ++e) {
-      const std::size_t pos = rng.next_below(mutated.size());
-      switch (rng.next_below(3)) {
-        case 0:
-          mutated[pos] = static_cast<char>(32 + rng.next_below(95));
-          break;
-        case 1:
-          mutated.erase(pos, 1 + rng.next_below(5));
-          break;
-        default:
-          mutated.insert(pos, 1, static_cast<char>(32 + rng.next_below(95)));
-          break;
-      }
-    }
-    std::stringstream in(mutated);
-    try {
-      const data::Dataset d = data::read_csv(in);
-      d.validate();
-      ++parsed;
-    } catch (const std::exception&) {
-      ++rejected;
-    }
-  }
-  // Both outcomes must occur (some mutations are benign, e.g. in a value),
-  // and none may escape as a crash or non-std exception.
-  EXPECT_GT(parsed + rejected, 0);
-  EXPECT_GT(rejected, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Tree-file fuzzing.
-// ---------------------------------------------------------------------------
-
-TEST(TreeIoFuzz, MutatedModelsNeverCrash) {
-  data::GeneratorConfig config;
-  config.seed = 7;
-  const data::QuestGenerator generator(config);
-  const core::DecisionTree tree =
-      core::ScalParC::fit(generator.generate(0, 200), 2).tree;
-  std::stringstream original;
-  core::save_tree(tree, original);
-  const std::string base = original.str();
-
-  util::Rng rng(777);
-  int rejected = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string mutated = base;
-    const std::size_t pos = rng.next_below(mutated.size());
-    mutated[pos] = static_cast<char>(32 + rng.next_below(95));
-    std::stringstream in(mutated);
-    try {
-      const core::DecisionTree loaded = core::load_tree(in);
-      // If it parsed, it must still be a usable predictor.
-      const data::Dataset probe = generator.generate(5000, 5);
-      for (std::size_t row = 0; row < probe.num_records(); ++row) {
-        const std::int32_t y = loaded.predict(probe, row);
-        ASSERT_GE(y, 0);
-        ASSERT_LT(y, 2);
-      }
-    } catch (const std::exception&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0);
 }
 
 // ---------------------------------------------------------------------------
