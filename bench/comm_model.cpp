@@ -27,6 +27,7 @@
 //   ./comm_model [--csv DIR] [--records N] [--depth D] [--bins B] [--top-k K]
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "mp/collectives.hpp"
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
         std::vector<std::vector<std::byte>> send(
             static_cast<std::size_t>(comm.size()));
         for (auto& buf : send) buf.assign(bytes_per_dest, std::byte{0});
-        (void)mp::alltoallv(comm, send);
+        (void)mp::alltoallv(comm, std::move(send));
       });
       return result.modeled_seconds;
     };

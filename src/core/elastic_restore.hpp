@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -158,10 +159,14 @@ RestoredList<Entry> elastic_restore_list(mp::Comm& comm,
     per_node[i].shrink_to_fit();
   }
 
-  // 4. Counts first, then entries.
+  // 4. Counts first, then entries. The send buffers move into the exchange,
+  // so their bytes are summed first.
+  std::size_t moved = 0;
+  for (const std::vector<Entry>& buf : sendbufs) moved += buf.size();
   const std::vector<std::vector<std::int64_t>> recvcounts =
-      mp::alltoallv(comm, sendcounts);
-  std::vector<std::vector<Entry>> arrived = mp::alltoallv(comm, sendbufs);
+      mp::alltoallv(comm, std::move(sendcounts));
+  const std::vector<std::vector<Entry>> arrived =
+      mp::alltoallv(comm, std::move(sendbufs));
 
   // 5. Reassemble node-major, sources in ascending order.
   RestoredList<Entry> out;
@@ -202,8 +207,6 @@ RestoredList<Entry> elastic_restore_list(mp::Comm& comm,
   span.set_bytes(static_cast<std::int64_t>(out.entries.size() * sizeof(Entry)));
   span.set_end_vtime(comm.vtime());
   if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-    std::size_t moved = 0;
-    for (const std::vector<Entry>& buf : sendbufs) moved += buf.size();
     sink->add("recovery.retile_bytes",
               static_cast<double>(moved * sizeof(Entry)));
   }

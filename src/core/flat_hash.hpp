@@ -104,7 +104,9 @@ class DistributedFlatHashTable {
                 insert_or_assign(batch[i].key, batch[i].value);
               });
         };
-    hashing::update(comm_, updates, block_limit, router(), apply);
+    hashing::update(
+        comm_, updates.size(), [updates](std::size_t i) { return updates[i]; },
+        block_limit, router(), apply, buffers_);
   }
 
   // Collective bulk lookup; results ordered like `keys`.
@@ -115,7 +117,12 @@ class DistributedFlatHashTable {
           asked.size(), [&](std::size_t i) { prefetch_home(asked[i]); },
           [&](std::size_t i) { out[i] = probe(asked[i]); });
     };
-    return hashing::enquire<Lookup>(comm_, keys, router(), lookup);
+    std::vector<Lookup> found(keys.size());
+    hashing::enquire(comm_, keys, router(), lookup, buffers_,
+                     [&found](std::size_t i, const Lookup& answer) {
+                       found[i] = answer;
+                     });
+    return found;
   }
 
  private:
@@ -232,6 +239,7 @@ class DistributedFlatHashTable {
   std::vector<std::uint8_t> full_;
   std::size_t size_ = 0;
   util::ScopedAllocation mem_;
+  hashing::Buffers<std::int64_t, V, Lookup> buffers_;
   // Probe telemetry: lengths include the terminal slot, so a hit in the home
   // slot observes 1. `mutable` because enquire-side probing is const.
   mutable mp::Histogram probe_lengths_;

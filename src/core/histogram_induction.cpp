@@ -355,8 +355,7 @@ void HistogramEngine::restore(const std::string& level_dir,
   }
 
   const std::vector<std::vector<RowWire>> received =
-      mp::alltoallv(comm_, sendbufs);
-  sendbufs.clear();
+      mp::alltoallv(comm_, std::move(sendbufs));
   std::size_t arrived = 0;
   for (const std::vector<RowWire>& from : received) {
     for (const RowWire& w : from) {

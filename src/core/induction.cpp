@@ -260,20 +260,22 @@ class ExactEngine final : public internal::InductionEngine {
     comm_.add_work(static_cast<double>(local.size() + all.size()));
   }
 
-  std::vector<std::int32_t> lookup_assignments(
-      std::span<const std::int64_t> rids) {
-    if (!replicated_) return node_table_->enquire(rids);
-    std::vector<std::int32_t> out(rids.size());
+  // Writes the child slot of rids[i] to children[i].
+  void lookup_assignments(std::span<const std::int64_t> rids,
+                          std::span<std::int32_t> children) {
+    if (!replicated_) {
+      node_table_->enquire(rids, children);
+      return;
+    }
     for (std::size_t i = 0; i < rids.size(); ++i) {
       const auto rid = static_cast<std::size_t>(rids[i]);
       if (replicated_epoch_of_[rid] != replicated_epoch_) {
         throw std::logic_error(
             "induction: record was not assigned a child this level");
       }
-      out[i] = replicated_child_[rid];
+      children[i] = replicated_child_[rid];
     }
     comm_.add_work(static_cast<double>(rids.size()));
-    return out;
   }
 
   mp::Comm& comm_;
@@ -302,6 +304,7 @@ class ExactEngine final : public internal::InductionEngine {
   std::vector<std::int32_t> update_children_;
   std::vector<std::int32_t> mapping_scratch_;
   std::vector<std::int64_t> enquiry_scratch_;
+  std::vector<std::int32_t> answers_;
   std::vector<std::size_t> enquiry_begin_;
   std::vector<std::uint64_t> ckpt_offsets_scratch_;
   std::tuple<std::vector<ContinuousEntry>, std::vector<CategoricalEntry>>
@@ -603,36 +606,40 @@ void ExactEngine::perform_split_ii(Level& level,
   };
   const auto apply_and_regroup = [&](auto& list,
                                      std::span<const std::int32_t> answers) {
+    const std::size_t old_size = list.cols.size();
+
+    // One pass turns every entry of a splitting node into its next-level
+    // target, in place in `child`, and counts each target's records. The
+    // child slot comes from PerformSplitI on the splitting attribute's own
+    // list and from the node-table answers on the others. The size / offset
+    // / cursor scratch comes from the level arena and the records land in
+    // the cols_next double-buffer: no heap traffic once capacities have
+    // warmed up.
+    std::span<std::size_t> new_sizes =
+        level_arena_.alloc_zeroed<std::size_t>(next_m);
     std::size_t cursor = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      if (!level.will_split[i] || level.best[i].attribute == list.attribute) {
-        continue;
+      if (!level.will_split[i]) continue;
+      const std::vector<int>& target_of = growth.child_slot_target[i];
+      const std::size_t begin = list.offsets[i];
+      const std::size_t end = list.offsets[i + 1];
+      const bool assigned = level.best[i].attribute == list.attribute;
+      if (!assigned && answers.size() - cursor < end - begin) {
+        throw std::logic_error("induction: enquiry answer count mismatch");
       }
-      for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1]; ++idx) {
-        list.child[idx] = answers[cursor++];
+      for (std::size_t idx = begin; idx < end; ++idx) {
+        const std::int32_t child =
+            assigned ? list.child[idx] : answers[cursor++];
+        const int target = target_of[static_cast<std::size_t>(child)];
+        list.child[idx] = target;
+        if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
       }
     }
     if (cursor != answers.size()) {
       throw std::logic_error("induction: enquiry answer count mismatch");
     }
 
-    const std::size_t old_size = list.cols.size();
-
-    // Stable grouped placement into the next level's grouping. The
-    // size/offset/cursor scratch comes from the level arena and the records
-    // land in the cols_next double-buffer — no heap traffic once capacities
-    // have warmed up.
-    std::span<std::size_t> new_sizes =
-        level_arena_.alloc_zeroed<std::size_t>(next_m);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!level.will_split[i]) continue;
-      for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-           ++idx) {
-        const int target = growth.child_slot_target[i][static_cast<std::size_t>(
-            list.child[idx])];
-        if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
-      }
-    }
+    // Stable grouped placement into the next level's grouping.
     std::span<std::size_t> new_offsets =
         level_arena_.alloc<std::size_t>(next_m + 1);
     std::span<std::size_t> cursors = level_arena_.alloc<std::size_t>(next_m);
@@ -646,8 +653,7 @@ void ExactEngine::perform_split_ii(Level& level,
       if (!level.will_split[i]) continue;
       for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
            ++idx) {
-        const int target = growth.child_slot_target[i][static_cast<std::size_t>(
-            list.child[idx])];
+        const std::int32_t target = list.child[idx];
         if (target >= 0) {
           list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
                              list.cols, idx);
@@ -658,8 +664,6 @@ void ExactEngine::perform_split_ii(Level& level,
     list.offsets.assign(new_offsets.begin(), new_offsets.end());
     list.mem.resize(list.cols.size_bytes());
     comm_.add_work(static_cast<double>(old_size));
-    list.child.clear();
-    list.child.shrink_to_fit();
   };
 
   enquiry_scratch_.clear();
@@ -671,9 +675,9 @@ void ExactEngine::perform_split_ii(Level& level,
   enquiry_begin_[li] = enquiry_scratch_.size();
   level.set_bytes(static_cast<std::int64_t>(enquiry_scratch_.size() *
                                             sizeof(std::int64_t)));
-  const std::vector<std::int32_t> answers =
-      lookup_assignments(enquiry_scratch_);
-  const std::span<const std::int32_t> all(answers);
+  answers_.resize(enquiry_scratch_.size());
+  lookup_assignments(enquiry_scratch_, answers_);
+  const std::span<const std::int32_t> all(answers_);
   const auto answers_of = [&](std::size_t list_index) {
     return all.subspan(enquiry_begin_[list_index],
                        enquiry_begin_[list_index + 1] -

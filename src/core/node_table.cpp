@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stdexcept>
 
 #include "mp/metrics.hpp"
 
@@ -19,31 +19,35 @@ void NodeTable::update(std::span<const std::int64_t> rids,
     sink->add("nodetable.updates", 1);
     sink->add("nodetable.update_entries", static_cast<double>(rids.size()));
   }
-  std::vector<DistributedHashTable<NodeTableEntry>::Update> updates(rids.size());
-  for (std::size_t i = 0; i < rids.size(); ++i) {
-    updates[i].key = rids[i];
-    updates[i].value = NodeTableEntry{children[i], epoch_};
-  }
-  table_.update(updates, block_limit);
+  const std::uint32_t epoch = epoch_;
+  table_.update(
+      rids.size(),
+      [rids, children, epoch](std::size_t i) {
+        return HashUpdate<NodeTableEntry>{rids[i],
+                                          NodeTableEntry{children[i], epoch}};
+      },
+      block_limit);
 }
 
-std::vector<std::int32_t> NodeTable::enquire(
-    std::span<const std::int64_t> rids) {
+void NodeTable::enquire(std::span<const std::int64_t> rids,
+                        std::span<std::int32_t> children) {
+  if (rids.size() != children.size()) {
+    throw std::invalid_argument("NodeTable::enquire: rid/child size mismatch");
+  }
   if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
     sink->add("nodetable.enquiries", 1);
     sink->add("nodetable.enquiry_entries", static_cast<double>(rids.size()));
   }
-  std::vector<NodeTableEntry> entries = table_.enquire(rids);
-  std::vector<std::int32_t> children(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].epoch != epoch_) {
+  const std::uint32_t epoch = epoch_;
+  table_.enquire(rids, [children, epoch](std::size_t i,
+                                         const NodeTableEntry& entry) {
+    if (entry.epoch != epoch) {
       throw std::logic_error(
           "NodeTable::enquire: record was not assigned a child this level "
           "(stale entry)");
     }
-    children[i] = entries[i].child;
-  }
-  return children;
+    children[i] = entry.child;
+  });
 }
 
 }  // namespace scalparc::core

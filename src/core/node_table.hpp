@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mp/collectives.hpp"
@@ -64,6 +65,37 @@ struct WireUpdate {
   V value{};
 };
 
+// The exchange buffers of one table: p chunks per kind of exchange, plus
+// the enquiry's per-key owners. mp::alltoallv moves every chunk it sends to
+// its receiver, and an exchange keeps the chunks it receives as the send
+// buffers of its next exchange of the same kind. The chunks circulate
+// between the ranks with their capacity, so once the first level has sized
+// them an update round or an enquiry round trip allocates nothing
+// record-sized.
+template <mp::WireType Wire, mp::WireType V, mp::WireType R>
+struct Buffers {
+  std::vector<std::vector<WireUpdate<Wire, V>>> updates;
+  std::vector<std::vector<Wire>> asked;
+  std::vector<std::vector<R>> answers;
+  std::vector<int> owner_of_key;
+};
+
+// Empties `chunks` into p send buffers, keeping every chunk's capacity.
+template <typename T>
+void recycle(std::vector<std::vector<T>>& chunks, std::size_t p) {
+  chunks.resize(p);
+  for (std::vector<T>& chunk : chunks) chunk.clear();
+}
+
+// Sizes an emptied chunk to `n` elements. One too small for `n` grows to half
+// as much again: ranks ask each other slightly different numbers of keys, and
+// the headroom lets a chunk serve either side of a pair next time.
+template <typename T>
+void resize_chunk(std::vector<T>& chunk, std::size_t n) {
+  if (chunk.capacity() < n) chunk.reserve(n + n / 2);
+  chunk.resize(n);
+}
+
 // Owner-side batch loops touch local slots in the senders' arrival order —
 // effectively random — so each access is a likely cache miss. A table runs
 // `visit(i)` over a received batch of `n` entries in groups of
@@ -80,85 +112,89 @@ void for_each_prefetched(std::size_t n, Prefetch prefetch, Visit visit) {
   }
 }
 
-// Collective bulk update. `route(key)` returns the key's KeyRoute;
+// Collective bulk update of the `n` entries entry(0), ..., entry(n - 1),
+// each a HashUpdate<V>. `route(key)` returns the key's KeyRoute;
 // `apply(span<const WireUpdate>)` runs at the owner once per sender's batch.
 // When `block_limit` > 0, each rank sends at most that many updates per
 // all-to-all round and every rank joins the globally maximal number of
 // rounds; block_limit == 0 sends everything in one round.
-template <mp::WireType V, typename Route, typename Apply>
-void update(mp::Comm& comm, std::span<const HashUpdate<V>> updates,
-            std::int64_t block_limit, const Route& route, const Apply& apply) {
-  using Wire = decltype(route(std::int64_t{}).wire);
+template <typename Entry, typename Route, typename Apply, mp::WireType Wire,
+          mp::WireType V, mp::WireType R>
+void update(mp::Comm& comm, std::size_t n, const Entry& entry,
+            std::int64_t block_limit, const Route& route, const Apply& apply,
+            Buffers<Wire, V, R>& buffers) {
   if (block_limit < 0) {
     throw std::invalid_argument("parallel hashing update: bad block limit");
   }
-  const auto round = [&](std::span<const HashUpdate<V>> batch) {
-    std::vector<std::vector<WireUpdate<Wire, V>>> sendbufs(
-        static_cast<std::size_t>(comm.size()));
-    for (const HashUpdate<V>& u : batch) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  const auto round = [&](std::size_t begin, std::size_t end) {
+    recycle(buffers.updates, p);
+    for (std::size_t i = begin; i < end; ++i) {
+      const HashUpdate<V> u = entry(i);
       const KeyRoute<Wire> r = route(u.key);
-      sendbufs[static_cast<std::size_t>(r.owner)].push_back({r.wire, u.value});
+      buffers.updates[static_cast<std::size_t>(r.owner)].push_back(
+          {r.wire, u.value});
     }
-    comm.add_work(static_cast<double>(batch.size()));
-    for (const auto& received : mp::alltoallv(comm, sendbufs)) {
+    comm.add_work(static_cast<double>(end - begin));
+    buffers.updates = mp::alltoallv(comm, std::move(buffers.updates));
+    for (const std::vector<WireUpdate<Wire, V>>& received : buffers.updates) {
       apply(std::span<const WireUpdate<Wire, V>>(received));
       comm.add_work(static_cast<double>(received.size()));
     }
   };
   if (block_limit == 0) {
     // One round; all ranks agree because block_limit is collective-uniform.
-    round(updates);
+    round(0, n);
     return;
   }
   const auto limit = static_cast<std::uint64_t>(block_limit);
-  const std::uint64_t my_rounds =
-      (updates.size() + limit - 1) / limit;  // 0 if updates empty
+  const std::uint64_t my_rounds = (n + limit - 1) / limit;  // 0 if n == 0
   const std::uint64_t rounds =
       mp::allreduce_value(comm, my_rounds, mp::MaxOp{});
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    const std::uint64_t begin = std::min<std::uint64_t>(r * limit, updates.size());
-    const std::uint64_t end = std::min<std::uint64_t>(begin + limit, updates.size());
-    round(updates.subspan(begin, end - begin));
+    const std::uint64_t begin = std::min<std::uint64_t>(r * limit, n);
+    const std::uint64_t end = std::min<std::uint64_t>(begin + limit, n);
+    round(begin, end);
   }
 }
 
-// Collective bulk enquiry: returns one R per key, ordered like `keys`.
-// `lookup(span<const Wire> asked, span<R> answers)` runs at the owner once
-// per sender's batch.
-template <mp::WireType R, typename Route, typename Lookup>
-std::vector<R> enquire(mp::Comm& comm, std::span<const std::int64_t> keys,
-                       const Route& route, const Lookup& lookup) {
-  using Wire = decltype(route(std::int64_t{}).wire);
+// Collective bulk enquiry: calls `emit(i, answer)` for every key, in the
+// order of `keys`. `lookup(span<const Wire> asked, span<R> answers)` runs at
+// the owner once per sender's batch.
+template <typename Route, typename Lookup, typename Emit, mp::WireType Wire,
+          mp::WireType V, mp::WireType R>
+void enquire(mp::Comm& comm, std::span<const std::int64_t> keys,
+             const Route& route, const Lookup& lookup,
+             Buffers<Wire, V, R>& buffers, const Emit& emit) {
   const auto p = static_cast<std::size_t>(comm.size());
   // What each owner should look up, in the order we encounter it;
-  // `destination[i]` remembers where key i went so the answers can be read
+  // `owner_of_key[i]` remembers where key i went so the answers can be read
   // back in order.
-  std::vector<std::vector<Wire>> asked(p);
-  std::vector<int> destination(keys.size());
+  recycle(buffers.asked, p);
+  buffers.owner_of_key.resize(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const KeyRoute<Wire> r = route(keys[i]);
-    destination[i] = r.owner;
-    asked[static_cast<std::size_t>(r.owner)].push_back(r.wire);
+    buffers.owner_of_key[i] = r.owner;
+    buffers.asked[static_cast<std::size_t>(r.owner)].push_back(r.wire);
   }
   comm.add_work(static_cast<double>(keys.size()));
 
-  const std::vector<std::vector<Wire>> to_answer = mp::alltoallv(comm, asked);
-  std::vector<std::vector<R>> answers(p);
+  buffers.asked = mp::alltoallv(comm, std::move(buffers.asked));
+  recycle(buffers.answers, p);
   for (std::size_t src = 0; src < p; ++src) {
-    answers[src].resize(to_answer[src].size());
-    lookup(std::span<const Wire>(to_answer[src]), std::span<R>(answers[src]));
-    comm.add_work(static_cast<double>(to_answer[src].size()));
+    const std::vector<Wire>& asked = buffers.asked[src];
+    std::vector<R>& answers = buffers.answers[src];
+    resize_chunk(answers, asked.size());
+    lookup(std::span<const Wire>(asked), std::span<R>(answers));
+    comm.add_work(static_cast<double>(asked.size()));
   }
-  const std::vector<std::vector<R>> answered = mp::alltoallv(comm, answers);
+  buffers.answers = mp::alltoallv(comm, std::move(buffers.answers));
 
   std::vector<std::size_t> cursor(p, 0);
-  std::vector<R> out;
-  out.reserve(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto dst = static_cast<std::size_t>(destination[i]);
-    out.push_back(answered[dst][cursor[dst]++]);
+    const auto owner = static_cast<std::size_t>(buffers.owner_of_key[i]);
+    emit(i, buffers.answers[owner][cursor[owner]++]);
   }
-  return out;
 }
 
 }  // namespace hashing
@@ -184,15 +220,8 @@ class DistributedHashTable {
 
   std::uint64_t block() const { return block_; }
 
-  int owner_of(std::int64_t key) const {
-    check_key(key);
-    return block_ == 0 ? 0
-                       : static_cast<int>(static_cast<std::uint64_t>(key) / block_);
-  }
-  std::uint64_t slot_of(std::int64_t key) const {
-    check_key(key);
-    return block_ == 0 ? 0 : static_cast<std::uint64_t>(key) % block_;
-  }
+  int owner_of(std::int64_t key) const { return route(key).owner; }
+  std::uint64_t slot_of(std::int64_t key) const { return route(key).wire; }
 
   std::uint64_t local_size() const {
     const auto rank = static_cast<std::uint64_t>(comm_.rank());
@@ -201,9 +230,10 @@ class DistributedHashTable {
     return std::min(block_, num_keys_ - begin);
   }
 
-  // Collective bulk update (hashing::update); `updates` may be empty on
-  // some ranks.
-  void update(std::span<const Update> updates, std::int64_t block_limit = 0) {
+  // Collective bulk update (hashing::update) of entry(0), ..., entry(n - 1);
+  // `n` may be 0 on some ranks.
+  template <typename Entry>
+  void update(std::size_t n, const Entry& entry, std::int64_t block_limit) {
     const auto apply =
         [this](std::span<const hashing::WireUpdate<std::uint64_t, V>> batch) {
           hashing::for_each_prefetched(
@@ -212,11 +242,17 @@ class DistributedHashTable {
                 local_values_[checked_slot(batch[i].key)] = batch[i].value;
               });
         };
-    hashing::update(comm_, updates, block_limit, router(), apply);
+    hashing::update(comm_, n, entry, block_limit, router(), apply, buffers_);
+  }
+  void update(std::span<const Update> updates, std::int64_t block_limit = 0) {
+    update(updates.size(), [updates](std::size_t i) { return updates[i]; },
+           block_limit);
   }
 
-  // Collective bulk enquiry: returns values ordered like `keys`.
-  std::vector<V> enquire(std::span<const std::int64_t> keys) {
+  // Collective bulk enquiry (hashing::enquire): calls emit(i, value) for
+  // every key, in the order of `keys`.
+  template <typename Emit>
+  void enquire(std::span<const std::int64_t> keys, const Emit& emit) {
     const auto lookup = [this](std::span<const std::uint64_t> slots,
                                std::span<V> out) {
       hashing::for_each_prefetched(
@@ -225,21 +261,28 @@ class DistributedHashTable {
             out[i] = local_values_[checked_slot(slots[i])];
           });
     };
-    return hashing::enquire<V>(comm_, keys, router(), lookup);
+    hashing::enquire(comm_, keys, router(), lookup, buffers_, emit);
+  }
+  // Collective bulk enquiry: returns values ordered like `keys`.
+  std::vector<V> enquire(std::span<const std::int64_t> keys) {
+    std::vector<V> out(keys.size());
+    enquire(keys, [&out](std::size_t i, const V& value) { out[i] = value; });
+    return out;
   }
 
  private:
-  void check_key(std::int64_t key) const {
-    if (key < 0 || static_cast<std::uint64_t>(key) >= num_keys_) {
+  // A key travels as its owner-local slot: one range check, one division.
+  hashing::KeyRoute<std::uint64_t> route(std::int64_t key) const {
+    const auto k = static_cast<std::uint64_t>(key);
+    if (k >= num_keys_) {
       throw std::out_of_range("DistributedHashTable: key out of range");
     }
+    const std::uint64_t owner = k / block_;
+    return {static_cast<int>(owner), k - owner * block_};
   }
 
-  // A key travels as its owner-local slot.
   auto router() const {
-    return [this](std::int64_t key) {
-      return hashing::KeyRoute<std::uint64_t>{owner_of(key), slot_of(key)};
-    };
+    return [this](std::int64_t key) { return route(key); };
   }
 
   std::uint64_t checked_slot(std::uint64_t slot) const {
@@ -264,6 +307,7 @@ class DistributedHashTable {
   std::uint64_t block_;
   std::vector<V> local_values_;
   util::ScopedAllocation mem_;
+  hashing::Buffers<std::uint64_t, V, V> buffers_;
 };
 
 // ---------------------------------------------------------------------------
@@ -287,9 +331,11 @@ class NodeTable {
               std::span<const std::int32_t> children,
               std::int64_t block_limit);
 
-  // Collective: child slots for `rids`, in order. Throws std::logic_error if
-  // any rid was not updated in the current epoch (stale enquiry).
-  std::vector<std::int32_t> enquire(std::span<const std::int64_t> rids);
+  // Collective: writes the child slot of rids[i] to children[i]. Throws
+  // std::logic_error if any rid was not updated in the current epoch (stale
+  // enquiry).
+  void enquire(std::span<const std::int64_t> rids,
+               std::span<std::int32_t> children);
 
   std::uint64_t block() const { return table_.block(); }
 

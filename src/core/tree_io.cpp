@@ -49,6 +49,20 @@ double hex_to_double(const std::string& text, int line) {
   return value;
 }
 
+// The number of '\n' bytes in `text`, summed in blocks of 255 into a byte
+// counter: a loop compilers vectorize, so it runs at memory speed.
+std::size_t count_newlines(std::string_view text) {
+  std::size_t newlines = 0;
+  while (!text.empty()) {
+    const std::size_t block = std::min<std::size_t>(text.size(), 255);
+    std::uint8_t in_block = 0;
+    for (std::size_t i = 0; i < block; ++i) in_block += text[i] == '\n';
+    newlines += in_block;
+    text.remove_prefix(block);
+  }
+  return newlines;
+}
+
 // Line-at-a-time reader over the whole input, tracking the current line
 // number. Lines are split as std::getline splits them (a last line without
 // '\n' still counts) and lose one trailing '\r'. The format is
@@ -70,15 +84,21 @@ class LineReader {
 
   int line() const { return line_; }
 
+  // How many lines next() has yet to return.
+  std::size_t lines_left() const {
+    return count_newlines(rest_) +
+           (!rest_.empty() && rest_.back() != '\n' ? 1 : 0);
+  }
+
  private:
   std::string_view rest_;
   int line_ = 0;
 };
 
-// The fields of one line, read in place exactly as `std::istringstream >>`
-// reads them in the classic locale: a word is a run of non-space characters;
-// a number is an optional sign and decimal digits, and it may end inside a
-// word ("5x" reads 5 and leaves "x" for the next field).
+// The fields of one line, read in place: a field is a run of non-space
+// characters (whitespace as the classic locale defines it); a number field is
+// an optional sign and decimal digits, and nothing else ("5x" is not a
+// number).
 class Fields {
  public:
   explicit Fields(std::string_view line) : rest_(line) {}
@@ -105,13 +125,17 @@ class Fields {
     skip_space();
     const char* first = rest_.data();
     const char* const last = first + rest_.size();
-    // `>>` takes a leading '+', std::from_chars only a '-'.
+    // A leading '+' is accepted as `>>` accepts it; std::from_chars takes
+    // only a '-'.
     if (last - first > 1 && first[0] == '+' && first[1] >= '0' &&
         first[1] <= '9') {
       ++first;
     }
     const std::from_chars_result result = std::from_chars(first, last, out);
-    if (result.ec != std::errc()) return false;
+    if (result.ec != std::errc() ||
+        (result.ptr != last && !is_space(*result.ptr))) {
+      return false;
+    }
     rest_.remove_prefix(static_cast<std::size_t>(result.ptr - rest_.data()));
     return true;
   }
@@ -203,6 +227,7 @@ DecisionTree load_tree(std::istream& in) {
         token != "classes" || num_classes < 2) {
       fail_at(reader.line(), "bad classes line");
     }
+    if (!fields.done()) fail_at(reader.line(), "trailing field on classes line");
   }
 
   // Attribute lines until the 'nodes <count>' line.
@@ -220,6 +245,14 @@ DecisionTree load_tree(std::istream& in) {
         fail_at(reader.line(), "bad node count");
       }
       if (!fields.done()) fail_at(reader.line(), "trailing field on nodes line");
+      // Every node has a line of its own: a larger count is rejected before
+      // anything is sized by it.
+      if (static_cast<std::size_t>(num_nodes) > reader.lines_left()) {
+        fail_at(reader.line(), "node count " + std::to_string(num_nodes) +
+                                   " exceeds the " +
+                                   std::to_string(reader.lines_left()) +
+                                   " line(s) left in the input");
+      }
       break;
     }
     if (token != "attr") {

@@ -24,7 +24,12 @@ void CollectiveBatch::combine_all(std::byte* dst,
 }
 
 void CollectiveBatch::pack_rooted(int root) {
+  std::size_t bytes = 0;
+  for (const Segment& seg : segments_) {
+    if (seg.root == root) bytes += seg.bytes;
+  }
   pack_.clear();
+  pack_.reserve(bytes);
   for (const Segment& seg : segments_) {
     if (seg.root != root) continue;
     pack_.insert(pack_.end(), buffer_.data() + seg.offset,
@@ -112,11 +117,16 @@ void CollectiveBatch::allreduce() {
     int mask = 1;
     while (mask < p) {
       if (r & mask) {
-        std::vector<std::byte> incoming = comm_.recv<std::byte>(r - mask, tag);
+        const std::vector<std::byte> incoming =
+            comm_.recv<std::byte>(r - mask, tag);
         if (incoming.size() != buffer_.size()) {
           throw std::logic_error("CollectiveBatch: bad broadcast size");
         }
-        buffer_ = std::move(incoming);
+        // Copied in, not assigned: buffer_ keeps the capacity reset()
+        // promises to keep.
+        if (!incoming.empty()) {
+          std::memcpy(buffer_.data(), incoming.data(), incoming.size());
+        }
         break;
       }
       mask <<= 1;

@@ -156,7 +156,8 @@ class CollectiveBatch {
   // Folds `incoming` (a peer's packed buffer, identical layout) into `dst`.
   void combine_all(std::byte* dst, std::span<const std::byte> incoming,
                    bool incoming_left) const;
-  // Packs the segments owned by `root` into `pack_` (directory order).
+  // Packs the segments owned by `root` into `pack_` (directory order),
+  // sized once from the directory.
   void pack_rooted(int root);
   bool owns_any(int root) const;
 

@@ -33,6 +33,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "data/attribute_list.hpp"
@@ -199,7 +200,7 @@ std::vector<std::size_t> exchange(mp::Comm& comm, Plane& plane,
   }
   plane.clear();
   const std::vector<std::vector<std::byte>> recvbufs =
-      mp::alltoallv(comm, sendbufs);
+      mp::alltoallv(comm, std::move(sendbufs));
 
   std::vector<std::size_t> offsets{0};
   offsets.reserve(p + 1);

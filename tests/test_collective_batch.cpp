@@ -296,6 +296,29 @@ TEST_P(BatchSweep, ResetAllowsReuseAcrossRounds) {
   });
 }
 
+// reset() keeps the packed buffer's capacity, and so does every round: after
+// a reset, an add of the same size and an allreduce, each rank's segment
+// still lies where it lay before.
+TEST(CollectiveBatch, AllreduceKeepsTheBufferResetKeeps) {
+  mp::run_ranks(3, kZero, [](mp::Comm& comm) {
+    mp::CollectiveBatch batch(comm);
+    const std::vector<std::int64_t> ones(1000, 1);
+    const std::size_t a = batch.add<std::int64_t>(
+        std::span<const std::int64_t>(ones), mp::SumOp{});
+    batch.allreduce();
+    const std::int64_t* before = batch.view<std::int64_t>(a).data();
+    batch.reset();
+    const std::size_t b = batch.add<std::int64_t>(
+        std::span<const std::int64_t>(ones), mp::SumOp{});
+    batch.allreduce();
+    EXPECT_EQ(batch.view<std::int64_t>(b).data(), before)
+        << "rank " << comm.rank();
+    for (const std::int64_t v : batch.view<std::int64_t>(b)) {
+      ASSERT_EQ(v, comm.size());
+    }
+  });
+}
+
 // Fused rounds cost O(1) collective calls regardless of segment count.
 TEST(CollectiveBatch, OneCallPerRoundInStats) {
   const auto result = mp::run_ranks(4, kZero, [](mp::Comm& comm) {

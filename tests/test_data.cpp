@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -859,6 +860,64 @@ TEST(TreeIo, ErrorsNameTheOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("(line 7)"), std::string::npos)
         << e.what();
   }
+}
+
+// The loader's message for `text`, or "" when the text loads.
+std::string load_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)core::load_tree(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+const std::string kOneLeafHeader =
+    "scalparc-tree v1\n"
+    "classes 2\n"
+    "attr x cont\n";
+
+TEST(TreeIo, RejectsNodeCountBeyondTheLinesLeft) {
+  // Rejected at the count line, before the loader sizes anything by it.
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 200000000\n"),
+            "tree_io: node count 200000000 exceeds the 0 line(s) left in the "
+            "input (line 4)");
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 2\nnode 0 leaf 0 1 0 1 0\n"),
+            "tree_io: node count 2 exceeds the 1 line(s) left in the input "
+            "(line 4)");
+  // A count equal to the lines left loads; a last line without '\n' counts.
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 1\nnode 0 leaf 0 1 0 1 0\n"), "");
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 1\nnode 0 leaf 0 1 0 1 0"), "");
+}
+
+TEST(TreeIo, RejectsTrailingFieldOnClassesLine) {
+  EXPECT_EQ(load_error("scalparc-tree v1\n"
+                       "classes 2 junk\n"
+                       "attr x cont\n"
+                       "nodes 1\n"
+                       "node 0 leaf 0 1 0 1 0\n"),
+            "tree_io: trailing field on classes line (line 2)");
+}
+
+TEST(TreeIo, RejectsNumbersEndingInsideAWord) {
+  EXPECT_EQ(load_error("scalparc-tree v1\n"
+                       "classes 2x\n"
+                       "attr x cont\n"
+                       "nodes 1\n"
+                       "node 0 leaf 0 1 0 1 0\n"),
+            "tree_io: bad classes line (line 2)");
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 1\nnode 0leaf 0 1 0 1 0\n"),
+            "tree_io: bad node line (expected node 0) (line 5)");
+  EXPECT_EQ(load_error(kOneLeafHeader + "nodes 1\nnode 0 leaf 0 1 0 1 0x\n"),
+            "tree_io: bad class counts (line 5)");
+  // A leading '+' still reads, as `std::istream >>` reads it.
+  EXPECT_EQ(load_error("scalparc-tree v1\n"
+                       "classes +2\n"
+                       "attr x cont\n"
+                       "nodes 1\n"
+                       "node 0 leaf 0 1 0 1 0\n"),
+            "");
 }
 
 TEST(TreeIo, ChildIdFuzzNeverCrashes) {

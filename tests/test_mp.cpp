@@ -10,6 +10,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mp/collectives.hpp"
@@ -146,9 +147,12 @@ TEST(FrameChecksum, EmptyInputWithSeedZeroIsZero) {
 }
 
 TEST(FrameChecksum, MatchesReferenceAtEveryLengthAndAlignment) {
-  const std::vector<unsigned char> buffer = seeded_bytes(300 + 16);
+  // Lengths from 64 up run the carry-less-multiply kernel where the CPU has
+  // it: every count of 64-byte steps, 16-byte blocks and tail bytes up to
+  // 1,200 at every alignment.
+  const std::vector<unsigned char> buffer = seeded_bytes(1200 + 16);
   for (std::size_t offset = 0; offset < 16; ++offset) {
-    for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t len = 0; len <= 1200; ++len) {
       const unsigned char* start = buffer.data() + offset;
       ASSERT_EQ(util::crc32(start, len), reference_crc32(start, len))
           << "offset " << offset << " length " << len;
@@ -156,11 +160,37 @@ TEST(FrameChecksum, MatchesReferenceAtEveryLengthAndAlignment) {
   }
 }
 
+TEST(FrameChecksum, MatchesReferenceOnLargeBuffers) {
+  const std::vector<unsigned char> buffer = seeded_bytes((std::size_t{1} << 20) + 16);
+  for (const std::size_t len :
+       {std::size_t{4096}, std::size_t{65536 + 7}, std::size_t{300001},
+        std::size_t{1} << 20}) {
+    for (const std::size_t offset : {0, 5}) {
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(util::crc32(start, len), reference_crc32(start, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(FrameChecksum, SlicingKernelMatchesReference) {
+  // The table kernel runs whole buffers on CPUs without carry-less multiply.
+  const std::vector<unsigned char> buffer = seeded_bytes((std::size_t{1} << 20) + 16);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{15}, std::size_t{64},
+                                std::size_t{1201}, std::size_t{1} << 20}) {
+    const unsigned char* start = buffer.data() + 3;
+    ASSERT_EQ(util::detail::crc32_slice16(0xFFFFFFFFu, start, len) ^ 0xFFFFFFFFu,
+              reference_crc32(start, len))
+        << "length " << len;
+  }
+}
+
 TEST(FrameChecksum, SeededChunksEqualOnePass) {
   // TypedWriter/TypedReader checksum a stream chunk by chunk through the
-  // seed; every split point across the 16-byte block boundary must agree.
-  const std::vector<unsigned char> buffer = seeded_bytes(80);
-  for (std::size_t len = 0; len < 80; ++len) {
+  // seed; every split point across the 16-byte block boundary and the
+  // 64-byte minimum of the folding kernel must agree.
+  const std::vector<unsigned char> buffer = seeded_bytes(200);
+  for (std::size_t len = 0; len < 200; ++len) {
     const std::uint32_t whole = util::crc32(buffer.data(), len);
     for (std::size_t split = 0; split <= len; ++split) {
       const std::uint32_t head = util::crc32(buffer.data(), split);
@@ -408,6 +438,34 @@ TEST(Collectives, AlltoallvRejectsWrongBufferCount) {
                       (void)mp::alltoallv(comm, bad);
                     }),
       std::invalid_argument);
+}
+
+TEST(Collectives, AlltoallvMovedChunksArriveWithoutCopy) {
+  // Every chunk moves through the mailbox, past the reliability layer's
+  // retained handle: each rank receives the very buffers its peers filled
+  // and keeps its own chunk in place.
+  ASSERT_TRUE(mp::RunOptions{}.reliability.enabled);
+  constexpr int kRanks = 3;
+  // filled_at[s * kRanks + d]: where rank s filled its chunk for rank d.
+  std::vector<const void*> filled_at(kRanks * kRanks, nullptr);
+  mp::run_ranks(kRanks, kZero, [&filled_at](mp::Comm& comm) {
+    const int r = comm.rank();
+    std::vector<std::vector<std::int64_t>> send(kRanks);
+    for (int d = 0; d < kRanks; ++d) {
+      send[d].assign(static_cast<std::size_t>(1000 + d), r * 100 + d);
+      filled_at[static_cast<std::size_t>(r * kRanks + d)] = send[d].data();
+    }
+    const auto recv = mp::alltoallv(comm, std::move(send));
+    ASSERT_EQ(recv.size(), static_cast<std::size_t>(kRanks));
+    for (int s = 0; s < kRanks; ++s) {
+      const std::vector<std::int64_t>& chunk = recv[static_cast<std::size_t>(s)];
+      EXPECT_EQ(static_cast<const void*>(chunk.data()),
+                filled_at[static_cast<std::size_t>(s * kRanks + r)])
+          << "chunk from rank " << s << " at rank " << r;
+      ASSERT_EQ(chunk.size(), static_cast<std::size_t>(1000 + r));
+      EXPECT_EQ(chunk.front(), s * 100 + r);
+    }
+  });
 }
 
 TEST(Collectives, CustomCombineStruct) {

@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "core/flat_hash.hpp"
@@ -14,6 +20,34 @@
 #include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
 #include "util/random.hpp"
+
+// Every allocation of this test binary goes through these replacements, so
+// a test can count what its rank threads allocate.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_counted_bytes{0};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_counted_bytes.fetch_add(size, std::memory_order_relaxed);
+    std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest_allocation.compare_exchange_weak(
+               largest, size, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs a new expression with free().
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace scalparc {
 namespace {
@@ -228,7 +262,8 @@ TEST_P(NodeTableTest, UpdateAndEnquireRoundTrip) {
     for (std::int64_t rid = 0; rid < static_cast<std::int64_t>(kRecords); ++rid) {
       all.push_back(rid);
     }
-    const auto got = table.enquire(all);
+    std::vector<std::int32_t> got(all.size());
+    table.enquire(all, got);
     for (std::size_t i = 0; i < all.size(); ++i) {
       EXPECT_EQ(got[i], static_cast<std::int32_t>(all[i] % 3));
     }
@@ -251,7 +286,8 @@ TEST_P(NodeTableTest, StaleEnquiryThrows) {
                       table.update(rids, children, 0);
                       table.begin_level();  // new level, no updates yet
                       std::vector<std::int64_t> query{2};
-                      (void)table.enquire(query);
+                      std::vector<std::int32_t> got(query.size());
+                      table.enquire(query, got);
                     }),
       std::logic_error);
 }
@@ -270,7 +306,8 @@ TEST_P(NodeTableTest, EpochsSeparateLevels) {
       }
       table.update(rids, children, 0);
       std::vector<std::int64_t> query{0, 3};
-      const auto got = table.enquire(query);
+      std::vector<std::int32_t> got(query.size());
+      table.enquire(query, got);
       EXPECT_EQ(got[0], static_cast<std::int32_t>(level));
       EXPECT_EQ(got[1], static_cast<std::int32_t>(level));
     }
@@ -287,6 +324,55 @@ TEST(NodeTableTest2, MismatchedSpansThrow) {
                                table.update(rids, children, 0);
                              }),
                std::invalid_argument);
+}
+
+TEST(NodeTableTest2, SteadyLevelAllocatesNoRecordSizedBuffer) {
+  // After one warm-up level sizes the exchange buffers, a second update plus
+  // enquiry of the same shape reuses them: nothing near a chunk's size (over
+  // 30,000 entries of 8 or 16 bytes) is allocated on any rank.
+  constexpr int kRanks = 3;
+  constexpr std::int64_t kRecords = 300000;
+  constexpr std::int64_t kBlock = kRecords / kRanks;
+  mp::run_ranks(kRanks, kZero, [](mp::Comm& comm) {
+    core::NodeTable table(comm, kRecords);
+    // Every rank updates a strided third of the rids, so it sends to every
+    // owner. It enquires those rids plus 2,000 more of the next rank's
+    // block: rank r asks its successor more keys than the successor asks
+    // it, so an answer chunk comes back to serve a larger request.
+    std::vector<std::int64_t> rids;
+    std::vector<std::int32_t> children;
+    for (std::int64_t rid = comm.rank(); rid < kRecords; rid += kRanks) {
+      rids.push_back(rid);
+      children.push_back(static_cast<std::int32_t>(rid % 5));
+    }
+    std::vector<std::int64_t> asked = rids;
+    const std::int64_t next_block = (comm.rank() + 1) % kRanks * kBlock;
+    for (std::int64_t rid = next_block; rid < next_block + 2000; ++rid) {
+      asked.push_back(rid);
+    }
+    std::vector<std::int32_t> got(asked.size());
+    const auto level = [&] {
+      table.begin_level();
+      table.update(rids, children, /*block_limit=*/0);
+      table.enquire(asked, got);
+    };
+    level();
+    mp::barrier(comm);
+    if (comm.is_root()) g_counting.store(true);
+    mp::barrier(comm);
+    level();
+    mp::barrier(comm);
+    if (comm.is_root()) g_counting.store(false);
+    for (std::size_t i = 0; i < asked.size(); ++i) {
+      ASSERT_EQ(got[i], static_cast<std::int32_t>(asked[i] % 5));
+    }
+  });
+  const std::size_t largest = g_largest_allocation.load();
+  const std::size_t total = g_counted_bytes.load();
+  EXPECT_LT(largest, std::size_t{4096});
+  EXPECT_LT(total, std::size_t{64} << 10);
+  std::printf("steady level: %zu bytes allocated, largest %zu\n", total,
+              largest);
 }
 
 TEST(NodeTableTest2, MemoryIsBlockSizedPerRank) {
