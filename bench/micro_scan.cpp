@@ -11,8 +11,9 @@
 //            differential oracle) and (b) the SoA columnar kernel + O(1)
 //            incremental scanner. Both at p = 1..16 simulated ranks, each
 //            rank scanning its FindSplitI fragment, the two layouts
-//            alternating inside every rep. Records/second, plus the SoA/AoS
-//            speedup the tentpole claims.
+//            alternating inside every rep. Records/second (best of the
+//            reps), plus the SoA/AoS speedup the tentpole claims: the median
+//            over reps of each rep's paired AoS/SoA time ratio.
 //   part 2 — hash probes: update + enquire the same key set through the
 //            flat open-addressing table with probe-group prefetching.
 //            Probes/second, tracked against this bench's own trajectory.
@@ -35,6 +36,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -205,12 +207,16 @@ int main(int argc, char** argv) {
   // Best-of-reps wall time of both layouts at p ranks: each rank scans its
   // contiguous FindSplitI fragment (below-histogram seeded from the prefix,
   // boundary value from the previous rank), scan_iters times. Every rep times
-  // both layouts back to back, flipping which goes first, so each layout's
-  // best comes from the same stretch of machine load.
+  // both layouts back to back on the same rank threads, flipping which goes
+  // first, so the two times of a rep share one stretch of machine load and
+  // one placement of threads on cores: on a loaded host, timings taken on
+  // different threads can differ by 40% with the core a thread lands on.
+  // The speedup is the median over reps of each rep's AoS/SoA time ratio.
   double scan_checksum = 0.0;
   struct ScanTimes {
     double aos_seconds = 0.0;
     double soa_seconds = 0.0;
+    double speedup = 0.0;
   };
   const auto time_scans = [&](int p) {
     // Fragment boundaries and prefix class histograms, computed outside the
@@ -232,8 +238,11 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const auto time_rep = [&](bool soa) {
-      std::vector<double> elapsed(static_cast<std::size_t>(p), 0.0);
+    // Returns the slowest rank's {AoS, SoA} times of one rep.
+    const auto time_rep = [&](bool soa_first) {
+      std::vector<double> elapsed[2] = {
+          std::vector<double>(static_cast<std::size_t>(p), 0.0),
+          std::vector<double>(static_cast<std::size_t>(p), 0.0)};
       std::vector<double> sinks(static_cast<std::size_t>(p), 0.0);
       mp::run_ranks(p, model, [&](mp::Comm& comm) {
         const auto r = static_cast<std::size_t>(comm.rank());
@@ -241,41 +250,50 @@ int main(int argc, char** argv) {
         const std::size_t hi = begin[r + 1];
         const bool has_prev = lo > 0;
         const double prev_value = has_prev ? cols.values[lo - 1] : 0.0;
-        mp::barrier(comm);
-        util::Stopwatch timer;
         double sink = 0.0;
-        for (int iter = 0; iter < scan_iters; ++iter) {
-          core::SplitCandidate best;
-          if (soa) {
-            core::IncrementalImpurityScanner scanner(totals, below[r]);
-            core::scan_continuous_columns(cols, lo, hi, scanner, has_prev,
-                                          prev_value, 0, best);
-            sink += best.threshold + static_cast<double>(scanner.below_total());
-          } else {
-            core::BinaryImpurityScanner scanner(totals, below[r]);
-            core::scan_continuous_segment(
-                std::span<const data::ContinuousEntry>(entries.data() + lo,
-                                                       hi - lo),
-                scanner, has_prev, prev_value, 0, best);
-            sink += best.threshold + static_cast<double>(scanner.below_total());
+        for (const bool soa : {soa_first, !soa_first}) {
+          mp::barrier(comm);
+          util::Stopwatch timer;
+          for (int iter = 0; iter < scan_iters; ++iter) {
+            core::SplitCandidate best;
+            if (soa) {
+              core::IncrementalImpurityScanner scanner(totals, below[r]);
+              core::scan_continuous_columns(cols, lo, hi, scanner, has_prev,
+                                            prev_value, 0, best);
+              sink +=
+                  best.threshold + static_cast<double>(scanner.below_total());
+            } else {
+              core::BinaryImpurityScanner scanner(totals, below[r]);
+              core::scan_continuous_segment(
+                  std::span<const data::ContinuousEntry>(entries.data() + lo,
+                                                         hi - lo),
+                  scanner, has_prev, prev_value, 0, best);
+              sink +=
+                  best.threshold + static_cast<double>(scanner.below_total());
+            }
           }
+          elapsed[soa ? 1 : 0][r] = timer.elapsed_seconds();
         }
-        elapsed[r] = timer.elapsed_seconds();
         sinks[r] = sink;
       });
       for (const double s : sinks) scan_checksum += s;
-      return *std::max_element(elapsed.begin(), elapsed.end());
+      return std::pair<double, double>{
+          *std::max_element(elapsed[0].begin(), elapsed[0].end()),
+          *std::max_element(elapsed[1].begin(), elapsed[1].end())};
     };
     ScanTimes best;
+    std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
-      const bool soa_first = rep % 2 == 1;
-      const double first = time_rep(soa_first);
-      const double second = time_rep(!soa_first);
-      const double aos = soa_first ? second : first;
-      const double soa = soa_first ? first : second;
+      const auto [aos, soa] = time_rep(/*soa_first=*/rep % 2 == 1);
       best.aos_seconds = rep == 0 ? aos : std::min(best.aos_seconds, aos);
       best.soa_seconds = rep == 0 ? soa : std::min(best.soa_seconds, soa);
+      ratios.push_back(aos / soa);
     }
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    best.speedup = ratios.size() % 2 == 1
+                       ? ratios[mid]
+                       : (ratios[mid - 1] + ratios[mid]) / 2.0;
     return best;
   };
 
@@ -345,7 +363,7 @@ int main(int argc, char** argv) {
     row.soa_seconds = times.soa_seconds;
     row.aos_records_per_s = scanned / row.aos_seconds;
     row.soa_records_per_s = scanned / row.soa_seconds;
-    row.speedup = row.soa_records_per_s / row.aos_records_per_s;
+    row.speedup = times.speedup;
     std::printf("%6d %14.3f %14.3f %16.3e %16.3e %8.2fx\n", row.procs,
                 row.aos_seconds * 1e3, row.soa_seconds * 1e3,
                 row.aos_records_per_s, row.soa_records_per_s, row.speedup);

@@ -1,7 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -13,15 +17,9 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "core/tree_io.hpp"
 #include "mp/telemetry.hpp"
 #include "util/crc32.hpp"
-#include "util/read_all.hpp"
 
 namespace scalparc::core {
 
@@ -51,23 +49,17 @@ void maybe_inject_write_fault(const std::string& what) {
   }
 }
 
-std::string read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw CheckpointCorruptError("cannot open '" + path + "'");
-  return util::read_all(in);
+std::span<const std::byte> bytes_of(const std::string& text) {
+  return std::as_bytes(std::span<const char>(text));
 }
 
-// Writes `text` to `path` and fsyncs it, under the transient-I/O retry.
-void write_text_file_durably(const std::string& path, const std::string& text,
-                             const std::string& what) {
-  detail::retry_transient_io(what, [&] {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw CheckpointError("cannot write " + what);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out) throw CheckpointError("short write to " + what);
-    detail::fsync_path(path);
-  });
+// fsyncs an open file or directory; checkpoint.fsyncs counts the successes.
+bool counted_fsync(int fd) {
+  if (::fsync(fd) != 0) return false;
+  if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
+    sink->add("checkpoint.fsyncs", 1);
+  }
+  return true;
 }
 
 }  // namespace
@@ -100,22 +92,14 @@ void checkpoint_write_globals(const std::string& staging,
   std::ostringstream tree_text;
   save_tree(tree, tree_text);
   const std::string tree_bytes = tree_text.str();
-  write_text_file_durably((fs::path(staging) / "tree.txt").string(),
-                          tree_bytes, "tree.txt");
   manifest.tree_bytes = tree_bytes.size();
-  manifest.tree_crc = util::crc32(tree_bytes.data(), tree_bytes.size());
-
-  {
-    const std::string active_path = (fs::path(staging) / "active.bin").string();
-    detail::retry_transient_io("active.bin", [&] {
-      ooc::TypedWriter<std::int64_t> writer(active_path);
-      writer.append(active_flat);
-      writer.flush();
-      manifest.active_count = writer.count();
-      manifest.active_crc = writer.crc();
-      detail::fsync_path(active_path);
-    });
-  }
+  manifest.tree_crc = detail::write_file_durably(
+      (fs::path(staging) / "tree.txt").string(), bytes_of(tree_bytes),
+      "tree.txt");
+  manifest.active_count = active_flat.size();
+  manifest.active_crc = detail::write_file_durably(
+      (fs::path(staging) / "active.bin").string(), std::as_bytes(active_flat),
+      "active.bin");
 
   std::ostringstream out;
   out << kManifestHeader << '\n';
@@ -128,8 +112,8 @@ void checkpoint_write_globals(const std::string& staging,
       << '\n';
   out << "tree " << manifest.tree_bytes << ' ' << manifest.tree_crc << '\n';
   out << "end\n";
-  write_text_file_durably((fs::path(staging) / "MANIFEST").string(), out.str(),
-                          "MANIFEST");
+  detail::write_file_durably((fs::path(staging) / "MANIFEST").string(),
+                             bytes_of(out.str()), "MANIFEST");
 }
 
 void checkpoint_commit(const std::string& root, int level) {
@@ -195,15 +179,10 @@ CheckpointManifest checkpoint_read_manifest(const std::string& level_dir) {
 
 DecisionTree checkpoint_read_tree(const std::string& level_dir,
                                   const CheckpointManifest& manifest) {
-  const std::string path = (fs::path(level_dir) / "tree.txt").string();
-  const std::string bytes = read_whole_file(path);
-  if (bytes.size() != manifest.tree_bytes) {
-    throw CheckpointCorruptError("tree.txt does not match its manifest size");
-  }
-  if (util::crc32(bytes.data(), bytes.size()) != manifest.tree_crc) {
-    throw CheckpointCorruptError("tree.txt failed its CRC32 check");
-  }
-  std::istringstream in(bytes);
+  const std::vector<char> bytes = detail::read_file_verified<char>(
+      (fs::path(level_dir) / "tree.txt").string(), manifest.tree_bytes,
+      manifest.tree_crc);
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
   try {
     return load_tree(in);
   } catch (const std::exception& e) {
@@ -213,22 +192,9 @@ DecisionTree checkpoint_read_tree(const std::string& level_dir,
 
 std::vector<std::int64_t> checkpoint_read_active(
     const std::string& level_dir, const CheckpointManifest& manifest) {
-  const std::string path = (fs::path(level_dir) / "active.bin").string();
-  if (detail::file_size_or_throw(path) !=
-      manifest.active_count * sizeof(std::int64_t)) {
-    throw CheckpointCorruptError("active.bin does not match its manifest size");
-  }
-  ooc::TypedReader<std::int64_t> reader(path, nullptr, 4096, 0,
-                                        manifest.active_count);
-  std::vector<std::int64_t> out(
-      static_cast<std::size_t>(manifest.active_count));
-  if (reader.read_chunk(std::span<std::int64_t>(out)) != out.size()) {
-    throw CheckpointCorruptError("active.bin is truncated");
-  }
-  if (reader.crc() != manifest.active_crc) {
-    throw CheckpointCorruptError("active.bin failed its CRC32 check");
-  }
-  return out;
+  return detail::read_file_verified<std::int64_t>(
+      (fs::path(level_dir) / "active.bin").string(), manifest.active_count,
+      manifest.active_crc);
 }
 
 std::optional<int> checkpoint_latest_level(const std::string& root) {
@@ -280,8 +246,8 @@ void write_rank_manifest(const std::string& dir, int rank,
         << s.crc << '\n';
   }
   out << "end\n";
-  write_text_file_durably(rank_manifest_path(dir, rank), out.str(),
-                          "rank manifest");
+  write_file_durably(rank_manifest_path(dir, rank), bytes_of(out.str()),
+                     "rank manifest");
 }
 
 std::vector<SectionInfo> read_rank_manifest(const std::string& dir, int rank) {
@@ -301,8 +267,9 @@ std::vector<SectionInfo> read_rank_manifest(const std::string& dir, int rank) {
   if (!(in >> key >> count) || key != "sections") {
     throw CheckpointCorruptError("'" + path + "' has a bad sections line");
   }
+  // Not reserved from `count`: a damaged count must fail at its first
+  // missing line, not size an allocation first.
   std::vector<SectionInfo> sections;
-  sections.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     SectionInfo info;
     if (!(in >> key >> info.name >> info.count >> info.bytes >> info.crc) ||
@@ -322,6 +289,53 @@ std::uint64_t file_size_or_throw(const std::string& path) {
   const auto size = fs::file_size(path, ec);
   if (ec) throw CheckpointCorruptError("cannot stat '" + path + "'");
   return static_cast<std::uint64_t>(size);
+}
+
+std::uint32_t write_file_durably(const std::string& path,
+                                 std::span<const std::byte> bytes,
+                                 const std::string& what) {
+  retry_transient_io(what, [&] {
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0) throw CheckpointError("cannot write " + what);
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ::close(fd);
+        throw CheckpointError("short write to " + what);
+      }
+      done += static_cast<std::size_t>(n);
+    }
+    const bool synced = counted_fsync(fd);
+    const bool closed = ::close(fd) == 0;
+    if (!synced || !closed) {
+      throw CheckpointIoError("fsync('" + path + "') failed");
+    }
+  });
+  return util::crc32(bytes);
+}
+
+void read_bytes_verified(const std::string& path, void* out,
+                         std::uint64_t bytes, std::uint32_t crc) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw CheckpointCorruptError("cannot open '" + path + "'");
+  auto* dst = static_cast<std::byte*>(out);
+  std::uint64_t done = 0;
+  while (done < bytes) {
+    const ssize_t n = ::read(fd, dst + done, bytes - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::uint64_t>(n);
+  }
+  ::close(fd);
+  if (done != bytes) {
+    throw CheckpointCorruptError("'" + path + "' is truncated");
+  }
+  if (util::crc32(dst, bytes) != crc) {
+    throw CheckpointCorruptError("'" + path + "' failed its CRC32 check");
+  }
 }
 
 void retry_transient_io(const std::string& what,
@@ -361,20 +375,13 @@ void retry_transient_io(const std::string& what,
 }
 
 void fsync_path(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     throw CheckpointIoError("cannot open '" + path + "' for fsync");
   }
-  const int rc = ::fsync(fd);
+  const bool synced = counted_fsync(fd);
   ::close(fd);
-  if (rc != 0) throw CheckpointIoError("fsync('" + path + "') failed");
-  if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-    sink->add("checkpoint.fsyncs", 1);
-  }
-#else
-  (void)path;  // durability auditing is POSIX-only
-#endif
+  if (!synced) throw CheckpointIoError("fsync('" + path + "') failed");
 }
 
 void arm_checkpoint_write_fault(int failures) {

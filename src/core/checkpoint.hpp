@@ -43,11 +43,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/tree.hpp"
 #include "mp/metrics.hpp"
-#include "ooc/spill_file.hpp"
 
 namespace scalparc::core {
 
@@ -130,6 +130,37 @@ void write_rank_manifest(const std::string& dir, int rank,
 std::vector<SectionInfo> read_rank_manifest(const std::string& dir, int rank);
 std::uint64_t file_size_or_throw(const std::string& path);
 
+// Creates or truncates `path`, writes all of `bytes`, fsyncs and closes it,
+// under retry_transient_io (`what` names the file in errors); returns the
+// CRC32 of `bytes`. Every checkpoint file is written through here.
+std::uint32_t write_file_durably(const std::string& path,
+                                 std::span<const std::byte> bytes,
+                                 const std::string& what);
+
+// Reads `bytes` bytes from the start of `path` into `out` and checks their
+// CRC32 against `crc`; a file that cannot be opened, ends early or fails the
+// check throws CheckpointCorruptError.
+void read_bytes_verified(const std::string& path, void* out,
+                         std::uint64_t bytes, std::uint32_t crc);
+
+// Reads a file a manifest records as `count` records of T with CRC32 `crc`.
+// The file is stat'ed before anything is allocated, so a count that
+// disagrees with the file's size (one whose byte size overflows included)
+// throws CheckpointCorruptError, as do a short read and a CRC mismatch.
+template <typename T>
+std::vector<T> read_file_verified(const std::string& path, std::uint64_t count,
+                                  std::uint32_t crc) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::uint64_t size = file_size_or_throw(path);
+  if (size % sizeof(T) != 0 || size / sizeof(T) != count) {
+    throw CheckpointCorruptError("'" + path +
+                                 "' does not match its manifest size");
+  }
+  std::vector<T> out(static_cast<std::size_t>(count));
+  read_bytes_verified(path, out.data(), size, crc);
+  return out;
+}
+
 // Runs `attempt`, retrying transient failures with a capped backoff
 // (checkpoint.write_retries counts the retries). Once the budget is spent
 // the last error is rethrown as CheckpointIoError. All hardened write
@@ -138,8 +169,8 @@ std::uint64_t file_size_or_throw(const std::string& path);
 void retry_transient_io(const std::string& what,
                         const std::function<void()>& attempt);
 
-// fsyncs a file or directory (checkpoint.fsyncs counts the calls); throws
-// CheckpointIoError on failure.
+// fsyncs a directory (checkpoint.fsyncs counts the calls, as it counts the
+// files write_file_durably syncs); throws CheckpointIoError on failure.
 void fsync_path(const std::string& path);
 
 // Test-only write-fault injection: the next `failures` hardened write
@@ -160,21 +191,16 @@ class CheckpointRankWriter {
 
   template <typename T>
   void write_section(const std::string& name, std::span<const T> records) {
-    const std::string path = detail::section_path(dir_, rank_, name);
-    detail::SectionInfo info;
-    detail::retry_transient_io("section '" + name + "'", [&] {
-      ooc::TypedWriter<T> writer(path);
-      writer.append(records);
-      writer.flush();
-      info = detail::SectionInfo{name, writer.count(),
-                                 writer.count() * sizeof(T), writer.crc()};
-      detail::fsync_path(path);
-    });
-    sections_.push_back(info);
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::uint32_t crc = detail::write_file_durably(
+        detail::section_path(dir_, rank_, name), std::as_bytes(records),
+        "section '" + name + "'");
+    sections_.push_back(
+        detail::SectionInfo{name, records.size(), records.size_bytes(), crc});
     if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
       sink->add("checkpoint.sections_written", 1);
       sink->add("checkpoint.bytes_written",
-                static_cast<double>(sections_.back().bytes));
+                static_cast<double>(records.size_bytes()));
     }
   }
 
@@ -206,25 +232,13 @@ class CheckpointRankReader {
       throw CheckpointCorruptError("rank " + std::to_string(rank_) +
                                    " has no section '" + name + "'");
     }
-    if (info->bytes != info->count * sizeof(T)) {
+    if (info->bytes % sizeof(T) != 0 ||
+        info->bytes / sizeof(T) != info->count) {
       throw CheckpointCorruptError("section '" + name +
                                    "' has inconsistent size");
     }
-    const std::string path = detail::section_path(dir_, rank_, name);
-    if (detail::file_size_or_throw(path) != info->bytes) {
-      throw CheckpointCorruptError("section file '" + path +
-                                   "' does not match its manifest size");
-    }
-    ooc::TypedReader<T> reader(path, nullptr, 4096, 0, info->count);
-    std::vector<T> out(static_cast<std::size_t>(info->count));
-    const std::size_t got = reader.read_chunk(std::span<T>(out));
-    if (got != out.size()) {
-      throw CheckpointCorruptError("section file '" + path + "' is truncated");
-    }
-    if (reader.crc() != info->crc) {
-      throw CheckpointCorruptError("section file '" + path +
-                                   "' failed its CRC32 check");
-    }
+    std::vector<T> out = detail::read_file_verified<T>(
+        detail::section_path(dir_, rank_, name), info->count, info->crc);
     if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
       sink->add("checkpoint.sections_read", 1);
       sink->add("checkpoint.bytes_read", static_cast<double>(info->bytes));

@@ -121,8 +121,7 @@ class HistogramEngine final : public internal::InductionEngine {
         voting_(options_.split_mode == SplitMode::kVoting),
         num_attrs_(schema.num_attributes()),
         slot_of_attr_(static_cast<std::size_t>(num_attrs_), -1),
-        batch_(comm),
-        map_batch_(comm) {
+        batch_(comm) {
     if (bins_ < 2) {
       throw std::invalid_argument(
           "induce_tree_distributed: hist_bins must be >= 2");
@@ -193,7 +192,14 @@ class HistogramEngine final : public internal::InductionEngine {
   void write_checkpoint(CheckpointRankWriter& writer,
                         std::size_t num_active) override;
   void find_splits(Level& level) override;
-  void map_categorical(Level& level) override;
+  int categorical_holder(const Level& level, std::size_t i) const override {
+    return held_matrix(level, i).owner;
+  }
+  CountMatrix categorical_matrix(const Level& level,
+                                 std::size_t i) const override {
+    const HeldMatrix held = held_matrix(level, i);
+    return merged_matrix(held.li, held.row);
+  }
   void perform_split_i(Level& level,
                        std::vector<std::int64_t>& kid_counts) override;
   void perform_split_ii(Level& level,
@@ -214,6 +220,34 @@ class HistogramEngine final : public internal::InductionEngine {
         comm_.meter(), util::MemCategory::kAttributeLists,
         n * (num_cont_ * sizeof(double) + num_cat_ * sizeof(std::int32_t) +
              2 * sizeof(std::int32_t)));
+  }
+
+  // Where node i's merged matrix of its winning categorical attribute lies
+  // after find_splits: the list, the rank owning the node's chunk, and the
+  // node's row within that chunk (a segment of batch_ on the owner).
+  struct HeldMatrix {
+    std::size_t li = 0;
+    int owner = 0;
+    std::size_t row = 0;
+  };
+  HeldMatrix held_matrix(const Level& level, std::size_t i) const {
+    const auto li = static_cast<std::size_t>(
+        slot_of_attr_[static_cast<std::size_t>(level.best[i].attribute)]);
+    const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
+    const std::vector<std::size_t>& chunks = chunk_offsets_[num_cont_ + li];
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
+    const int owner = sort::owner_of_global_index(k, chunks);
+    return {li, owner, k - chunks[static_cast<std::size_t>(owner)]};
+  }
+
+  // Row `row` of this rank's merged chunk of categorical list li.
+  CountMatrix merged_matrix(std::size_t li, std::size_t row) const {
+    const auto card = static_cast<std::size_t>(cat_card_[li]);
+    return CountMatrix::from_flat(
+        cat_card_[li], c_,
+        batch_.view<std::int64_t>(seg_cat_[li])
+            .subspan(row * card * uc_, card * uc_));
   }
 
   // Adds the rows of `rows` (`width` elements each) to batch_ as one
@@ -284,8 +318,6 @@ class HistogramEngine final : public internal::InductionEngine {
   // This rank's merged chunk per list: a segment of batch_ after round 2,
   // defined only where the chunk is non-empty.
   std::vector<std::size_t> seg_counts_, seg_min_, seg_cat_;
-  mp::CollectiveBatch map_batch_;          // categorical mappings
-  std::vector<std::size_t> mapped_nodes_;  // node of each map_batch_ segment
   std::vector<std::int32_t> child_of_row_;
   std::uint64_t histogram_bytes_total_ = 0;
   std::uint64_t vote_bytes_total_ = 0;
@@ -687,65 +719,14 @@ void HistogramEngine::find_splits(Level& level) {
     const std::size_t lo = chunk_offsets_[num_cont_ + li][rank];
     const std::size_t hi = chunk_offsets_[num_cont_ + li][rank + 1];
     if (lo == hi) continue;
-    const auto card = static_cast<std::size_t>(cat_card_[li]);
-    const std::span<const std::int64_t> counts =
-        batch_.view<std::int64_t>(seg_cat_[li]);
     for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = nodes[k];
-      const CountMatrix matrix = CountMatrix::from_flat(
-          cat_card_[li], c_, counts.subspan((k - lo) * card * uc, card * uc));
       const SplitCandidate cand = best_categorical_split(
-          matrix, static_cast<std::int32_t>(cat_attr_[li]),
+          merged_matrix(li, k - lo), static_cast<std::int32_t>(cat_attr_[li]),
           options_.categorical_split, options_.criterion);
       if (candidate_less(cand, best[i])) best[i] = cand;
-      comm_.add_work(static_cast<double>(card));
+      comm_.add_work(static_cast<double>(cat_card_[li]));
     }
-  }
-}
-
-void HistogramEngine::map_categorical(Level& level) {
-  // Only the owner of a winning (node, categorical attribute) matrix holds
-  // it merged (still in the batch from find_splits), so the owner builds the
-  // value -> child mapping and one rooted broadcast publishes them all. The
-  // winners and cardinalities are global, so every other rank contributes a
-  // correctly-sized placeholder; with no categorical winner the batch stays
-  // empty and the round is skipped.
-  map_batch_.reset();
-  mapped_nodes_.clear();
-  for (std::size_t i = 0; i < level.m; ++i) {
-    const SplitCandidate& win = level.best[i];
-    if (!level.will_split[i] || win.kind == SplitKind::kContinuous) continue;
-    const auto li = static_cast<std::size_t>(
-        slot_of_attr_[static_cast<std::size_t>(win.attribute)]);
-    const std::vector<std::size_t>& nodes = elected_nodes_[num_cont_ + li];
-    const std::vector<std::size_t>& chunks = chunk_offsets_[num_cont_ + li];
-    const auto k = static_cast<std::size_t>(
-        std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
-    const int owner = sort::owner_of_global_index(k, chunks);
-    const auto card = static_cast<std::size_t>(cat_card_[li]);
-    std::vector<std::int32_t>& mapping = level.value_to_child[i];
-    if (owner == comm_.rank()) {
-      const std::size_t row = k - chunks[static_cast<std::size_t>(owner)];
-      const CountMatrix matrix = CountMatrix::from_flat(
-          cat_card_[li], c_,
-          batch_.view<std::int64_t>(seg_cat_[li])
-              .subspan(row * card * uc_, card * uc_));
-      mapping = win.kind == SplitKind::kCategoricalMultiWay
-                    ? value_to_child_multiway(matrix)
-                    : value_to_child_subset(matrix, win.subset);
-    } else {
-      mapping.assign(card, 0);
-    }
-    map_batch_.add<std::int32_t>(std::span<const std::int32_t>(mapping),
-                                 mp::SumOp{}, std::int32_t{0}, owner);
-    mapped_nodes_.push_back(i);
-  }
-  map_batch_.bcast_rooted();
-  for (std::size_t s = 0; s < mapped_nodes_.size(); ++s) {
-    const std::span<const std::int32_t> mapping =
-        map_batch_.view<std::int32_t>(s);
-    level.value_to_child[mapped_nodes_[s]].assign(mapping.begin(),
-                                                  mapping.end());
   }
 }
 

@@ -28,7 +28,6 @@
 #include "mp/metrics.hpp"
 #include "sort/partition_util.hpp"
 #include "sort/sample_sort.hpp"
-#include "util/arena.hpp"
 
 namespace scalparc::core {
 
@@ -186,7 +185,15 @@ class ExactEngine final : public internal::InductionEngine {
   }
 
   void find_splits(Level& level) override;
-  void map_categorical(Level& level) override;
+  int categorical_holder(const Level& level, std::size_t i) const override {
+    return options_.categorical_reduction == CategoricalReduction::kAllRanks
+               ? -1
+               : cat_list_of(level.best[i].attribute).coordinator;
+  }
+  CountMatrix categorical_matrix(const Level& level,
+                                 std::size_t i) const override {
+    return matrix_of(cat_list_of(level.best[i].attribute), i);
+  }
   void perform_split_i(Level& level,
                        std::vector<std::int64_t>& kid_counts) override;
   void perform_split_ii(Level& level,
@@ -203,6 +210,24 @@ class ExactEngine final : public internal::InductionEngine {
     for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
       f(cat_lists_[li], "cat" + std::to_string(li));
     }
+  }
+
+  const CatList& cat_list_of(int attribute) const {
+    for (const CatList& list : cat_lists_) {
+      if (list.attribute == attribute) return list;
+    }
+    throw std::logic_error("induction: no categorical list for attribute " +
+                           std::to_string(attribute));
+  }
+
+  // Node i's global count matrix from list.global_counts, on a rank holding
+  // it: the attribute's coordinator or, with kAllRanks, every rank.
+  CountMatrix matrix_of(const CatList& list, std::size_t i) const {
+    const auto card = static_cast<std::size_t>(list.cardinality);
+    return CountMatrix::from_flat(
+        list.cardinality, static_cast<int>(c_),
+        std::span<const std::int64_t>(list.global_counts)
+            .subspan(i * card * c_, card * c_));
   }
 
   template <typename List>
@@ -235,7 +260,6 @@ class ExactEngine final : public internal::InductionEngine {
     cont_count_segs_.resize(cont_lists_.size());
     cont_boundary_segs_.resize(cont_lists_.size());
     cat_segs_.resize(cat_lists_.size());
-    map_segs_.resize(cat_lists_.size());
   }
 
   // Scatters this level's rid -> child assignments.
@@ -302,28 +326,23 @@ class ExactEngine final : public internal::InductionEngine {
   std::vector<Boundary> boundary_scratch_;
   std::vector<std::int64_t> update_rids_;
   std::vector<std::int32_t> update_children_;
-  std::vector<std::int32_t> mapping_scratch_;
   std::vector<std::int64_t> enquiry_scratch_;
   std::vector<std::int32_t> answers_;
   std::vector<std::size_t> enquiry_begin_;
   std::vector<std::uint64_t> ckpt_offsets_scratch_;
   std::tuple<std::vector<ContinuousEntry>, std::vector<CategoricalEntry>>
       ckpt_entries_;
-  // Per-level arena for the variable-size regroup scratch (segment size /
-  // offset / cursor arrays in PerformSplitII). reset() at each level start
-  // rewinds without freeing, so after the first level these allocations are
-  // pure pointer bumps — together with the hoisted vectors above and the
-  // cols_next double-buffers, steady-state levels do no heap allocation.
-  util::Arena level_arena_;
+  // PerformSplitII's regroup: the next level's segment bounds of one list
+  // (swapped with the list's `offsets`) and the placement cursors.
+  std::vector<std::size_t> offsets_next_;
+  std::vector<std::size_t> cursors_;
   // Fused-round segment directories (sized by list count, fixed per run).
   std::vector<std::size_t> cont_count_segs_;
   std::vector<std::size_t> cont_boundary_segs_;
   std::vector<std::size_t> cat_segs_;
-  std::vector<std::size_t> map_segs_;
 };
 
 void ExactEngine::find_splits(Level& level) {
-  level_arena_.reset();
   const std::size_t m = level.m;
   const std::size_t c = c_;
   std::vector<SplitCandidate>& best = level.best;
@@ -417,15 +436,10 @@ void ExactEngine::find_splits(Level& level) {
   // Evaluates one categorical list's candidates from list.global_counts
   // (callable only where the global matrices live: coordinator or, with
   // kAllRanks, everywhere).
-  const auto eval_categorical = [&](CatList& list) {
-    const std::size_t card = static_cast<std::size_t>(list.cardinality);
+  const auto eval_categorical = [&](const CatList& list) {
     for (std::size_t i = 0; i < m; ++i) {
-      const CountMatrix matrix = CountMatrix::from_flat(
-          list.cardinality, static_cast<int>(c),
-          std::span<const std::int64_t>(list.global_counts)
-              .subspan(i * card * c, card * c));
       const SplitCandidate candidate = best_categorical_split(
-          matrix, static_cast<std::int32_t>(list.attribute),
+          matrix_of(list, i), static_cast<std::int32_t>(list.attribute),
           options_.categorical_split, options_.criterion);
       if (candidate_less(candidate, best[i])) best[i] = candidate;
     }
@@ -459,78 +473,6 @@ void ExactEngine::find_splits(Level& level) {
       eval_categorical(list);
     } else {
       list.global_counts.clear();
-    }
-  }
-}
-
-void ExactEngine::map_categorical(Level& level) {
-  // Categorical winners need the value -> child mapping, which only a rank
-  // holding the global matrix can build: the attribute's coordinator, or
-  // every rank under kAllRanks.
-  const std::size_t m = level.m;
-  const auto winners_of = [&](const CatList& list) {
-    std::vector<std::size_t> winner_nodes;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (level.will_split[i] && level.best[i].attribute == list.attribute) {
-        winner_nodes.push_back(i);
-      }
-    }
-    return winner_nodes;
-  };
-  const auto mapping_of = [&](const CatList& list, std::size_t i) {
-    const std::size_t card = static_cast<std::size_t>(list.cardinality);
-    const CountMatrix matrix = CountMatrix::from_flat(
-        list.cardinality, static_cast<int>(c_),
-        std::span<const std::int64_t>(list.global_counts)
-            .subspan(i * card * c_, card * c_));
-    return level.best[i].kind == SplitKind::kCategoricalMultiWay
-               ? value_to_child_multiway(matrix)
-               : value_to_child_subset(matrix, level.best[i].subset);
-  };
-
-  if (options_.categorical_reduction == CategoricalReduction::kAllRanks) {
-    // Every rank holds the global matrices, so it builds the mappings
-    // itself — no broadcast round.
-    for (const CatList& list : cat_lists_) {
-      for (const std::size_t i : winners_of(list)) {
-        level.value_to_child[i] = mapping_of(list, i);
-      }
-    }
-    return;
-  }
-  // All winning mappings travel in one rooted broadcast round. The winner
-  // sets and cardinalities are globally known, so every rank can contribute
-  // a correctly-sized placeholder for segments it doesn't own.
-  batch_.reset();
-  std::vector<std::vector<std::size_t>> winners(cat_lists_.size());
-  for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
-    const CatList& list = cat_lists_[li];
-    winners[li] = winners_of(list);
-    if (winners[li].empty()) continue;
-    const std::size_t card = static_cast<std::size_t>(list.cardinality);
-    if (comm_.rank() == list.coordinator) {
-      mapping_scratch_.clear();
-      for (const std::size_t i : winners[li]) {
-        const std::vector<std::int32_t> mapping = mapping_of(list, i);
-        mapping_scratch_.insert(mapping_scratch_.end(), mapping.begin(),
-                                mapping.end());
-      }
-    } else {
-      mapping_scratch_.assign(winners[li].size() * card, 0);
-    }
-    map_segs_[li] = batch_.add<std::int32_t>(
-        std::span<const std::int32_t>(mapping_scratch_), mp::SumOp{},
-        std::int32_t{0}, list.coordinator);
-  }
-  batch_.bcast_rooted();  // no-op when no node split on a categorical
-  for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
-    if (winners[li].empty()) continue;
-    const auto card = static_cast<std::ptrdiff_t>(cat_lists_[li].cardinality);
-    const auto flat = batch_.view<std::int32_t>(map_segs_[li]).begin();
-    for (std::size_t k = 0; k < winners[li].size(); ++k) {
-      const auto first = static_cast<std::ptrdiff_t>(k) * card;
-      level.value_to_child[winners[li][k]].assign(flat + first,
-                                                  flat + first + card);
     }
   }
 }
@@ -609,14 +551,13 @@ void ExactEngine::perform_split_ii(Level& level,
     const std::size_t old_size = list.cols.size();
 
     // One pass turns every entry of a splitting node into its next-level
-    // target, in place in `child`, and counts each target's records. The
-    // child slot comes from PerformSplitI on the splitting attribute's own
-    // list and from the node-table answers on the others. The size / offset
-    // / cursor scratch comes from the level arena and the records land in
-    // the cols_next double-buffer: no heap traffic once capacities have
-    // warmed up.
-    std::span<std::size_t> new_sizes =
-        level_arena_.alloc_zeroed<std::size_t>(next_m);
+    // target, in place in `child`, and counts target t's records into
+    // offsets_next_[t + 1]. The child slot comes from PerformSplitI on the
+    // splitting attribute's own list and from the node-table answers on the
+    // others. The offsets and cursors are hoisted vectors and the records
+    // land in the cols_next double-buffer: no heap traffic once capacities
+    // have warmed up.
+    offsets_next_.assign(next_m + 1, 0);
     std::size_t cursor = 0;
     for (std::size_t i = 0; i < m; ++i) {
       if (!level.will_split[i]) continue;
@@ -632,7 +573,7 @@ void ExactEngine::perform_split_ii(Level& level,
             assigned ? list.child[idx] : answers[cursor++];
         const int target = target_of[static_cast<std::size_t>(child)];
         list.child[idx] = target;
-        if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
+        if (target >= 0) ++offsets_next_[static_cast<std::size_t>(target) + 1];
       }
     }
     if (cursor != answers.size()) {
@@ -640,28 +581,24 @@ void ExactEngine::perform_split_ii(Level& level,
     }
 
     // Stable grouped placement into the next level's grouping.
-    std::span<std::size_t> new_offsets =
-        level_arena_.alloc<std::size_t>(next_m + 1);
-    std::span<std::size_t> cursors = level_arena_.alloc<std::size_t>(next_m);
-    new_offsets[0] = 0;
     for (std::size_t t = 0; t < next_m; ++t) {
-      new_offsets[t + 1] = new_offsets[t] + new_sizes[t];
-      cursors[t] = new_offsets[t];
+      offsets_next_[t + 1] += offsets_next_[t];
     }
-    list.cols_next.resize(new_offsets.back());
+    cursors_.assign(offsets_next_.begin(), offsets_next_.end() - 1);
+    list.cols_next.resize(offsets_next_.back());
     for (std::size_t i = 0; i < m; ++i) {
       if (!level.will_split[i]) continue;
       for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
            ++idx) {
         const std::int32_t target = list.child[idx];
         if (target >= 0) {
-          list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
+          list.cols_next.set(cursors_[static_cast<std::size_t>(target)]++,
                              list.cols, idx);
         }
       }
     }
     std::swap(list.cols, list.cols_next);
-    list.offsets.assign(new_offsets.begin(), new_offsets.end());
+    std::swap(list.offsets, offsets_next_);
     list.mem.resize(list.cols.size_bytes());
     comm_.add_work(static_cast<double>(old_size));
   };

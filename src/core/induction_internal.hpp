@@ -8,8 +8,9 @@
 // the SPMD fingerprint, the root node, the checkpoint manifest/tree/active
 // set and the write protocol, the closing min-allreduce of FindSplit II, the
 // split decision, the child class-count round, tree growth, level stats and
-// telemetry. An engine supplies only the per-record work, through the
-// InductionEngine interface below, a fixed number of calls per level.
+// telemetry, and the categorical value -> child mapping round. An engine
+// supplies only the per-record work, through the InductionEngine interface
+// below, a fixed number of calls per level.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/count_matrix.hpp"
 #include "core/induction.hpp"
 #include "core/split_finder.hpp"
 #include "data/dataset.hpp"
@@ -65,9 +67,9 @@ class PhaseSpan {
 
 // One level of the loop as the driver hands it to an engine. The split
 // decision fills in phase order: the engine's find_splits writes this
-// rank's candidates into `best`, the driver min-reduces them and sets
-// `will_split`, the engine's map_categorical fills `value_to_child`, and
-// the driver sets `kid_offset`: node i's (child, class) counts fill
+// rank's candidates into `best`, the driver min-reduces them, sets
+// `will_split`, fills `value_to_child` from the engine's merged categorical
+// matrices and sets `kid_offset`: node i's (child, class) counts fill
 // [kid_offset[i], kid_offset[i + 1]).
 class Level {
  public:
@@ -125,9 +127,13 @@ class InductionEngine {
 
   // FindSplit I and II up to this rank's best candidate per active node.
   virtual void find_splits(Level& level) = 0;
-  // The value -> child mapping of every node splitting on a categorical
-  // attribute, on every rank.
-  virtual void map_categorical(Level& level) = 0;
+  // For node i, which splits on the categorical attribute of level.best[i]:
+  // the rank holding its merged count matrix of that attribute after
+  // find_splits, or -1 when every rank holds it.
+  virtual int categorical_holder(const Level& level, std::size_t i) const = 0;
+  // That matrix, on a rank that holds it.
+  virtual CountMatrix categorical_matrix(const Level& level,
+                                         std::size_t i) const = 0;
   // PerformSplit I: assigns a child to every local record of a splitting
   // node and counts them by (node, child, class) into `kid_counts`.
   virtual void perform_split_i(Level& level,

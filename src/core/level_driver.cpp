@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/count_matrix.hpp"
 #include "core/gini.hpp"
 #include "core/induction.hpp"
 #include "core/induction_internal.hpp"
@@ -190,6 +191,46 @@ internal::LevelGrowth grow_tree_level(
   return out;
 }
 
+// Fills level.value_to_child for every node splitting on a categorical
+// attribute, on every rank. Only a rank holding the node's merged count
+// matrix can build the mapping. Where every rank holds it, each builds it;
+// otherwise the holder builds it, every other rank adds a placeholder of the
+// attribute's cardinality (the winners are global), and one rooted broadcast
+// publishes them all, skipped when no node needs it.
+void publish_categorical_mappings(const internal::InductionEngine& engine,
+                                  const data::Schema& schema, int rank,
+                                  internal::Level& level,
+                                  mp::CollectiveBatch& batch,
+                                  std::vector<std::size_t>& published) {
+  batch.reset();
+  published.clear();
+  for (std::size_t i = 0; i < level.m; ++i) {
+    const SplitCandidate& win = level.best[i];
+    if (!level.will_split[i] || win.kind == SplitKind::kContinuous) continue;
+    const int holder = engine.categorical_holder(level, i);
+    std::vector<std::int32_t>& mapping = level.value_to_child[i];
+    if (holder < 0 || holder == rank) {
+      const CountMatrix matrix = engine.categorical_matrix(level, i);
+      mapping = win.kind == SplitKind::kCategoricalMultiWay
+                    ? value_to_child_multiway(matrix)
+                    : value_to_child_subset(matrix, win.subset);
+    } else {
+      mapping.assign(
+          static_cast<std::size_t>(schema.attribute(win.attribute).cardinality),
+          0);
+    }
+    if (holder < 0) continue;
+    batch.add<std::int32_t>(std::span<const std::int32_t>(mapping),
+                            mp::SumOp{}, std::int32_t{0}, holder);
+    published.push_back(i);
+  }
+  batch.bcast_rooted();
+  for (std::size_t s = 0; s < published.size(); ++s) {
+    const std::span<const std::int32_t> mapping = batch.view<std::int32_t>(s);
+    level.value_to_child[published[s]].assign(mapping.begin(), mapping.end());
+  }
+}
+
 }  // namespace
 
 internal::Level::Level(mp::Comm& comm, int index_in,
@@ -345,8 +386,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   setup_span.reset();
   stats.presort_seconds = comm.vtime() - setup_start_vtime;
 
-  // Hoisted so its capacity is reused across levels.
+  // Hoisted so their capacity is reused across levels.
   mp::CollectiveBatch batch(comm);
+  std::vector<std::size_t> mapped_nodes;
   std::vector<std::int64_t> local_kid_counts;
 
   while (!active.empty()) {
@@ -413,7 +455,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
           level.best[i].gini < node_impurity - options.min_gini_improvement;
     }
     level.value_to_child.assign(level.m, {});
-    engine->map_categorical(level);
+    publish_categorical_mappings(*engine, schema, comm.rank(), level, batch,
+                                 mapped_nodes);
     level.kid_offset.assign(level.m + 1, 0);
     for (std::size_t i = 0; i < level.m; ++i) {
       int children = 0;

@@ -8,8 +8,6 @@
 #include <atomic>
 #include <filesystem>
 
-#include "util/crc32.hpp"
-
 namespace scalparc::ooc {
 
 namespace {
@@ -85,19 +83,6 @@ std::size_t read_bytes(std::FILE* file, void* data, std::size_t bytes,
   const std::size_t got = std::fread(data, 1, bytes, file);
   if (stats != nullptr) stats->bytes_read += got;
   return got;
-}
-
-void create_or_truncate(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("spill_file: cannot create " + path);
-  }
-  std::fclose(f);
-}
-
-std::uint32_t crc32_update(const void* data, std::size_t bytes,
-                           std::uint32_t seed) {
-  return util::crc32(data, bytes, seed);
 }
 
 }  // namespace detail

@@ -61,14 +61,9 @@ void write_bytes(const std::string& path, bool append, const void* data,
                  std::size_t bytes, IoStats* stats);
 std::size_t read_bytes(std::FILE* file, void* data, std::size_t bytes,
                        IoStats* stats);
-void create_or_truncate(const std::string& path);
-std::uint32_t crc32_update(const void* data, std::size_t bytes,
-                           std::uint32_t seed);
 }  // namespace detail
 
-// Appends records of T to a file with an in-memory staging buffer. Keeps a
-// running CRC32 of everything written, so callers (e.g. the checkpoint
-// layer) can record an integrity checksum without a second pass.
+// Appends records of T to a file with an in-memory staging buffer.
 template <typename T>
 class TypedWriter {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -77,13 +72,6 @@ class TypedWriter {
   explicit TypedWriter(const TempFile& file, IoStats* stats = nullptr,
                        std::size_t buffer_records = 4096)
       : path_(file.path()), stats_(stats), buffer_limit_(buffer_records) {
-    buffer_.reserve(buffer_limit_);
-  }
-  // Path form for durable (non-temp) files; creates or truncates `path`.
-  explicit TypedWriter(const std::string& path, IoStats* stats = nullptr,
-                       std::size_t buffer_records = 4096)
-      : path_(path), stats_(stats), buffer_limit_(buffer_records) {
-    detail::create_or_truncate(path_);
     buffer_.reserve(buffer_limit_);
   }
   TypedWriter(const TypedWriter&) = delete;
@@ -103,13 +91,10 @@ class TypedWriter {
     if (buffer_.empty()) return;
     const std::size_t bytes = buffer_.size() * sizeof(T);
     detail::write_bytes(path_, /*append=*/true, buffer_.data(), bytes, stats_);
-    crc_ = detail::crc32_update(buffer_.data(), bytes, crc_);
     buffer_.clear();
   }
 
   std::uint64_t count() const { return count_; }
-  // CRC32 of all bytes written so far; call flush() first for completeness.
-  std::uint32_t crc() const { return crc_; }
 
  private:
   std::string path_;
@@ -117,7 +102,6 @@ class TypedWriter {
   std::size_t buffer_limit_;
   std::vector<T> buffer_;
   std::uint64_t count_ = 0;
-  std::uint32_t crc_ = 0;
 };
 
 // Sequentially reads records of T from a file with a staging buffer.
@@ -132,15 +116,8 @@ class TypedReader {
                        std::size_t buffer_records = 4096,
                        std::uint64_t start_record = 0,
                        std::uint64_t max_records = UINT64_MAX)
-      : TypedReader(file.path(), stats, buffer_records, start_record,
-                    max_records) {}
-  // Path form for durable (non-temp) files.
-  explicit TypedReader(const std::string& path, IoStats* stats = nullptr,
-                       std::size_t buffer_records = 4096,
-                       std::uint64_t start_record = 0,
-                       std::uint64_t max_records = UINT64_MAX)
       : stats_(stats), buffer_limit_(buffer_records), remaining_(max_records) {
-    file_ = std::fopen(path.c_str(), "rb");
+    file_ = std::fopen(file.path().c_str(), "rb");
     // A never-written file is an empty stream, not an error.
     if (file_ != nullptr && start_record > 0) {
       if (std::fseek(file_, static_cast<long>(start_record * sizeof(T)),
@@ -170,9 +147,6 @@ class TypedReader {
     return got;
   }
 
-  // CRC32 of all bytes consumed from disk so far.
-  std::uint32_t crc() const { return crc_; }
-
  private:
   bool refill() {
     if (file_ == nullptr || remaining_ == 0) return false;
@@ -184,7 +158,6 @@ class TypedReader {
     if (bytes % sizeof(T) != 0) {
       throw std::runtime_error("TypedReader: truncated record on disk");
     }
-    crc_ = detail::crc32_update(buffer_.data(), bytes, crc_);
     buffer_.resize(bytes / sizeof(T));
     remaining_ -= buffer_.size();
     cursor_ = 0;
@@ -197,7 +170,6 @@ class TypedReader {
   std::uint64_t remaining_;
   std::vector<T> buffer_;
   std::size_t cursor_ = 0;
-  std::uint32_t crc_ = 0;
 };
 
 // Convenience: spill a vector to a fresh temp file.

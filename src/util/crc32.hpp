@@ -2,8 +2,8 @@
 //
 // Used as the frame checksum of the message-passing runtime (corrupted
 // payloads must be *detected*, not mis-parsed) and as the integrity check of
-// checkpoint sections, tree and active-set files and out-of-core spill files.
-// Incremental: feed chunks via the seed parameter.
+// checkpoint sections, tree and active-set files. Incremental: feed chunks
+// via the seed parameter.
 //
 // Two kernels, both computing exactly the values of the classic
 // byte-at-a-time loop, so every committed digest stays valid:

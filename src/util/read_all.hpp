@@ -1,7 +1,6 @@
 // Reads the rest of a stream into one buffer.
 //
-// The CSV reader, the tree loader and the checkpoint reader parse whole files
-// from memory. A stream that can seek (a file, a string stream) is sized once
+// The CSV reader and the tree loader parse whole files from memory. A stream that can seek (a file, a string stream) is sized once
 // and read in one call; whatever is left after that (all of a pipe, or what a
 // file grew by meanwhile) is appended in chunks.
 #pragma once

@@ -487,6 +487,39 @@ TEST(CheckpointFaults, TransientWriteFaultsHealSilently) {
   EXPECT_GE(report.run.metrics.value("checkpoint.write_retries", 0.0), 1.0);
 }
 
+// Durability: every checkpoint file is fsynced once, and every commit syncs
+// the staging directory and then the root, so a fit's checkpoint.fsyncs is
+// the number of files under the root plus two per committed level.
+TEST(CheckpointFaults, EveryFileAndEveryCommitIsFsynced) {
+  const data::Dataset training = make_training(2000);
+  for (const core::SplitMode mode :
+       {core::SplitMode::kExact, core::SplitMode::kHistogram}) {
+    SCOPED_TRACE(mode == core::SplitMode::kExact ? "exact" : "histogram");
+    TempDir dir("scalparc_fsyncs");
+    core::InductionControls ckpt;
+    ckpt.options.max_depth = 5;
+    ckpt.options.split_mode = mode;
+    ckpt.checkpoint.directory = dir.path;
+    const core::FitReport report = core::ScalParC::fit(training, 3, ckpt);
+    std::size_t files = 0;
+    std::size_t levels = 0;
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(dir.path)) {
+      if (entry.is_regular_file()) {
+        ++files;
+      } else if (entry.is_directory()) {
+        EXPECT_EQ(entry.path().filename().string().rfind("level_", 0), 0u)
+            << entry.path();
+        ++levels;
+      }
+    }
+    ASSERT_GT(levels, 1u);
+    EXPECT_EQ(static_cast<int>(levels), report.stats.levels);
+    EXPECT_EQ(report.run.metrics.value("checkpoint.fsyncs", 0.0),
+              static_cast<double>(files + 2 * levels));
+  }
+}
+
 TEST(CheckpointFaults, PersistentWriteFaultClassifiedUnrecoverable) {
   const data::Dataset training = make_training(2000);
   core::InductionControls controls;

@@ -2,8 +2,8 @@
 // is checked against an independent reference: whole trees (clean and
 // killed-and-resumed) against the serial SPRINT oracle, the incremental gini
 // kernel against the recompute scanner and the subset split against a
-// rebuild oracle. The arena rides along. The column Presort's differential
-// tests live in test_sort.cpp.
+// rebuild oracle. The column Presort's differential tests live in
+// test_sort.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,7 +25,6 @@
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "sprint/serial_sprint.hpp"
-#include "util/arena.hpp"
 
 namespace scalparc {
 namespace {
@@ -329,65 +328,6 @@ TEST(SubsetSplitDifferential, IncrementalGreedyMatchesRebuildOracle) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-TEST(Arena, AllocationsAreZeroedDistinctAndStable) {
-  util::Arena arena;
-  std::vector<std::span<std::int64_t>> spans;
-  // Allocate enough to force chained-block growth; earlier spans must stay
-  // valid and keep their contents.
-  for (int round = 0; round < 6; ++round) {
-    auto span = arena.alloc_zeroed<std::int64_t>(1000);
-    for (const std::int64_t v : span) EXPECT_EQ(v, 0);
-    for (std::size_t i = 0; i < span.size(); ++i) {
-      span[i] = round * 100000 + static_cast<std::int64_t>(i);
-    }
-    spans.push_back(span);
-  }
-  EXPECT_GT(arena.num_blocks(), 1u);
-  for (int round = 0; round < 6; ++round) {
-    for (std::size_t i = 0; i < spans[static_cast<std::size_t>(round)].size();
-         ++i) {
-      EXPECT_EQ(spans[static_cast<std::size_t>(round)][i],
-                round * 100000 + static_cast<std::int64_t>(i))
-          << "round " << round;
-    }
-  }
-}
-
-TEST(Arena, ResetCoalescesAndRecycles) {
-  util::Arena arena;
-  for (int i = 0; i < 5; ++i) (void)arena.alloc<std::byte>(3000);
-  const std::size_t grown_capacity = arena.capacity();
-  EXPECT_GT(arena.num_blocks(), 1u);
-  arena.reset();
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  EXPECT_GE(arena.capacity(), grown_capacity);
-  EXPECT_EQ(arena.used(), 0u);
-  // Steady state: the same allocation pattern now fits the single block.
-  for (int i = 0; i < 5; ++i) (void)arena.alloc<std::byte>(3000);
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  arena.reset();
-  auto zeroed = arena.alloc_zeroed<std::int32_t>(64);
-  for (const std::int32_t v : zeroed) EXPECT_EQ(v, 0);
-}
-
-TEST(Arena, RespectsAlignment) {
-  util::Arena arena;
-  (void)arena.alloc<char>(3);
-  const auto doubles = arena.alloc<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(doubles.data()) %
-                alignof(double),
-            0u);
-  (void)arena.alloc<char>(1);
-  const auto ints = arena.alloc<std::int64_t>(2);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ints.data()) %
-                alignof(std::int64_t),
-            0u);
 }
 
 }  // namespace

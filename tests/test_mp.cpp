@@ -186,9 +186,9 @@ TEST(FrameChecksum, SlicingKernelMatchesReference) {
 }
 
 TEST(FrameChecksum, SeededChunksEqualOnePass) {
-  // TypedWriter/TypedReader checksum a stream chunk by chunk through the
-  // seed; every split point across the 16-byte block boundary and the
-  // 64-byte minimum of the folding kernel must agree.
+  // The seed chains a checksum over chunks of a stream; every split point
+  // across the 16-byte block boundary and the 64-byte minimum of the
+  // folding kernel must agree.
   const std::vector<unsigned char> buffer = seeded_bytes(200);
   for (std::size_t len = 0; len < 200; ++len) {
     const std::uint32_t whole = util::crc32(buffer.data(), len);

@@ -6,6 +6,7 @@
 // ConfusionMatrix.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -347,12 +348,14 @@ TEST(ModelHandle, SwapUnderConcurrentBatchesNeverTearsABatch) {
     rows.append(std::span<const double>(&x, 1), {}, 0);
   }
 
+  constexpr int kScorers = 4;
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
   std::atomic<std::int64_t> batches{0};
+  std::array<std::atomic<std::int64_t>, kScorers> scored{};
   std::vector<std::thread> scorers;
-  for (int t = 0; t < 4; ++t) {
-    scorers.emplace_back([&] {
+  for (int t = 0; t < kScorers; ++t) {
+    scorers.emplace_back([&, t] {
       std::vector<std::int32_t> out(rows.num_records());
       while (!stop.load(std::memory_order_relaxed)) {
         const auto model = handle.get();
@@ -364,13 +367,32 @@ TEST(ModelHandle, SwapUnderConcurrentBatchesNeverTearsABatch) {
           }
         }
         batches.fetch_add(1, std::memory_order_relaxed);
+        scored[static_cast<std::size_t>(t)].fetch_add(1);
       }
     });
   }
+  // The flips must overlap scoring: they start once every scorer has scored
+  // a batch, and the scorers stop once each has scored another after them.
+  const auto wait_until_each_scored_past =
+      [&](const std::array<std::int64_t, kScorers>& floor) {
+        for (int t = 0; t < kScorers; ++t) {
+          while (scored[static_cast<std::size_t>(t)].load() <=
+                 floor[static_cast<std::size_t>(t)]) {
+            std::this_thread::yield();
+          }
+        }
+      };
+  wait_until_each_scored_past({});
   for (int flip = 0; flip < 200; ++flip) {
     handle.swap(flip % 2 == 0 ? model1 : model0);
     std::this_thread::yield();
   }
+  std::array<std::int64_t, kScorers> after_flips{};
+  for (int t = 0; t < kScorers; ++t) {
+    after_flips[static_cast<std::size_t>(t)] =
+        scored[static_cast<std::size_t>(t)].load();
+  }
+  wait_until_each_scored_past(after_flips);
   stop.store(true);
   for (std::thread& scorer : scorers) scorer.join();
   EXPECT_EQ(torn.load(), 0);

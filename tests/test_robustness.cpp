@@ -428,6 +428,57 @@ TEST_F(CheckpointDamage, InconsistentOffsetsWithValidCrcAreCorrupt) {
   });
 }
 
+// Replaces the line of text file `path` that starts with `key` and a space.
+void replace_line(const fs::path& path, const std::string& key,
+                  const std::string& line) {
+  std::string text = slurp_file(path);
+  const std::size_t begin = text.find("\n" + key + " ");
+  ASSERT_NE(begin, std::string::npos) << key;
+  const std::size_t end = text.find('\n', begin + 1);
+  text.replace(begin + 1, end - begin - 1, line);
+  dump_file(path, text);
+}
+
+// Counts a manifest gives but the files cannot hold. 2^61 records of 24
+// bytes (a continuous entry) or 8 bytes (an active-set value) wrap to 0,
+// so a product check would match an empty file; 2^61 section lines would
+// size a vector before the first one is read. Each must be classified as
+// corruption before anything is allocated from it, and recovery must then
+// drop the damaged level instead of retrying it until its retries run out.
+TEST_F(CheckpointDamage, HugeCountsAreCorrupt) {
+  const std::string huge = std::to_string(std::uint64_t{1} << 61);
+  const auto expect_corrupt_then_recovered = [&] {
+    EXPECT_THROW(resume(), core::CheckpointCorruptError);
+    core::InductionControls resuming = controls_;
+    resuming.checkpoint.resume = true;
+    const core::RecoveryReport report = core::ScalParC::fit_with_recovery(
+        training_, 2, resuming, core::RecoveryControls{});
+    EXPECT_EQ(report.outcome, core::RecoveryOutcome::kCompleted);
+    EXPECT_EQ(report.attempts, 2);
+    EXPECT_EQ(tree_text(report.fit.tree), expected_);
+  };
+  for_each_mode([&] {
+    SCOPED_TRACE("section records");
+    dump_file(fs::path(latest_) / "rank0_cont0.bin", "");
+    replace_line(fs::path(latest_) / "rank0.manifest", "section cont0",
+                 "section cont0 " + huge + " 0 0");
+    expect_corrupt_then_recovered();
+  });
+  for_each_mode([&] {
+    SCOPED_TRACE("active set");
+    dump_file(fs::path(latest_) / "active.bin", "");
+    replace_line(fs::path(latest_) / "MANIFEST", "active",
+                 "active " + huge + " 0");
+    expect_corrupt_then_recovered();
+  });
+  for_each_mode([&] {
+    SCOPED_TRACE("section lines");
+    replace_line(fs::path(latest_) / "rank0.manifest", "sections",
+                 "sections " + huge);
+    expect_corrupt_then_recovered();
+  });
+}
+
 // A record id outside the training set with a valid CRC. The histogram
 // engine routes every restored record to the rank owning it, so the id must
 // be checked before it picks a destination. (The exact engine keeps the id
