@@ -90,22 +90,6 @@ struct RowWire {
   std::int32_t node = 0;  // active-node index
 };
 
-// Moves rows nodes[k] of a row-major region of `width`-element rows to row
-// k and returns the packed rows. `nodes` ascends, so nodes[k] >= k and the
-// forward in-place copy never overwrites a row it has still to read; when
-// nodes[k] == k for all k (histogram mode) nothing moves.
-template <typename T>
-std::span<const T> pack_rows_in_place(T* region,
-                                      const std::vector<std::size_t>& nodes,
-                                      std::size_t width) {
-  for (std::size_t k = 0; k < nodes.size(); ++k) {
-    if (nodes[k] != k) {
-      std::copy_n(region + nodes[k] * width, width, region + k * width);
-    }
-  }
-  return {region, nodes.size() * width};
-}
-
 class HistogramEngine final : public internal::InductionEngine {
  public:
   HistogramEngine(mp::Comm& comm, const data::Schema& schema,
@@ -121,7 +105,8 @@ class HistogramEngine final : public internal::InductionEngine {
         voting_(options_.split_mode == SplitMode::kVoting),
         num_attrs_(schema.num_attributes()),
         slot_of_attr_(static_cast<std::size_t>(num_attrs_), -1),
-        batch_(comm) {
+        flat_(comm),
+        merge_(comm) {
     if (bins_ < 2) {
       throw std::invalid_argument(
           "induce_tree_distributed: hist_bins must be >= 2");
@@ -158,12 +143,11 @@ class HistogramEngine final : public internal::InductionEngine {
     num_cat_ = cat_attr_.size();
     cont_col_.resize(num_cont_);
     cat_col_.resize(num_cat_);
-    cat_counts_begin_.resize(num_cat_ + 1);
     elected_nodes_.resize(num_cont_ + num_cat_);
     chunk_offsets_.resize(num_cont_ + num_cat_);
-    seg_counts_.resize(num_cont_);
-    seg_min_.resize(num_cont_);
-    seg_cat_.resize(num_cat_);
+    const auto p = static_cast<std::size_t>(comm.size());
+    seg_counts_.assign(num_cont_ + num_cat_, std::vector<std::size_t>(p));
+    seg_min_.assign(num_cont_, std::vector<std::size_t>(p));
   }
 
   void build(const data::Dataset& local_block,
@@ -201,7 +185,7 @@ class HistogramEngine final : public internal::InductionEngine {
     return merged_matrix(held.li, held.row);
   }
   void perform_split_i(Level& level,
-                       std::vector<std::int64_t>& kid_counts) override;
+                       std::span<std::int64_t> kid_counts) override;
   void perform_split_ii(Level& level,
                         const internal::LevelGrowth& growth) override;
 
@@ -224,7 +208,7 @@ class HistogramEngine final : public internal::InductionEngine {
 
   // Where node i's merged matrix of its winning categorical attribute lies
   // after find_splits: the list, the rank owning the node's chunk, and the
-  // node's row within that chunk (a segment of batch_ on the owner).
+  // node's row within that chunk (a segment of merge_ on the owner).
   struct HeldMatrix {
     std::size_t li = 0;
     int owner = 0;
@@ -246,34 +230,44 @@ class HistogramEngine final : public internal::InductionEngine {
     const auto card = static_cast<std::size_t>(cat_card_[li]);
     return CountMatrix::from_flat(
         cat_card_[li], c_,
-        batch_.view<std::int64_t>(seg_cat_[li])
+        merge_
+            .view<std::int64_t>(
+                seg_counts_[num_cont_ + li][static_cast<std::size_t>(
+                    comm_.rank())])
             .subspan(row * card * uc_, card * uc_));
   }
 
-  // Adds the rows of `rows` (`width` elements each) to batch_ as one
-  // segment per non-empty owner chunk of `chunks` (an offsets_from_sizes()
-  // partition of the rows), rooted at the chunk's owner, and adds their
-  // payload bytes to `payload_bytes`. Returns this rank's segment when its
-  // chunk is non-empty.
-  template <typename T, typename Combine>
-  std::size_t add_owner_chunks(std::span<const T> rows,
-                               const std::vector<std::size_t>& chunks,
-                               std::size_t width, Combine combine,
-                               const T& identity,
-                               std::uint64_t& payload_bytes) {
-    std::size_t own = std::numeric_limits<std::size_t>::max();
-    for (int r = 0; r < comm_.size(); ++r) {
-      const std::size_t lo = chunks[static_cast<std::size_t>(r)];
-      const std::size_t hi = chunks[static_cast<std::size_t>(r) + 1];
-      if (lo == hi) continue;
-      const std::span<const T> chunk =
-          rows.subspan(lo * width, (hi - lo) * width);
-      const std::size_t seg = batch_.add<T>(chunk, combine, identity, r);
-      payload_bytes += chunk.size_bytes();
-      if (r == comm_.rank()) own = seg;
-    }
-    return own;
+  // Elements of one node's count row of list slot `slot` (continuous lists
+  // first): [bin][class] or [value][class].
+  std::size_t row_width(std::size_t slot) const {
+    return slot < num_cont_
+               ? ubins_ * uc_
+               : static_cast<std::size_t>(cat_card_[slot - num_cont_]) * uc_;
   }
+
+  // Places one merge_ segment of `width`-element rows per non-empty owner
+  // chunk of list slot `slot`, rooted at the chunk's owner; ids[r] names
+  // owner r's segment. Adds the segments' bytes to `payload_bytes`.
+  template <typename T, typename Combine>
+  void place_owner_chunks(std::size_t slot, std::size_t width,
+                          Combine combine, const T& identity,
+                          std::vector<std::size_t>& ids,
+                          std::uint64_t& payload_bytes) {
+    const std::vector<std::size_t>& chunks = chunk_offsets_[slot];
+    for (int r = 0; r < comm_.size(); ++r) {
+      const std::size_t rows = chunks[static_cast<std::size_t>(r) + 1] -
+                               chunks[static_cast<std::size_t>(r)];
+      if (rows == 0) continue;
+      ids[static_cast<std::size_t>(r)] =
+          merge_.place<T>(rows * width, combine, identity, r);
+      payload_bytes += rows * width * sizeof(T);
+    }
+  }
+
+  void place_merge_round(Level& level);
+  void stage_histograms(std::size_t m);
+  template <typename CountsRow, typename MinsRow>
+  void for_each_merge_row(CountsRow&& counts_row, MinsRow&& mins_row);
 
   mp::Comm& comm_;
   const InductionOptions& options_;
@@ -301,23 +295,25 @@ class HistogramEngine final : public internal::InductionEngine {
   util::ScopedAllocation rows_mem_;
 
   // Per-level scratch, hoisted so capacity is reused across levels.
-  mp::CollectiveBatch batch_;
-  std::vector<ValueRange> ranges_scratch_;
-  std::vector<ValueRange> ranges_;
-  std::vector<std::int64_t> cont_counts_;   // [li][node][bin][class]
-  std::vector<double> cont_bin_min_;        // [li][node][bin]
-  std::vector<std::int64_t> cat_counts_;    // per list: [node][value][class]
-  std::vector<std::size_t> cat_counts_begin_;
+  mp::CollectiveBatch flat_;   // round 1 (value ranges) and the vote round
+  mp::CollectiveBatch merge_;  // round 2: the rooted histogram merge
+  // Where node i's local histograms of list slot s are built: its count
+  // row at counts_at_[s * m + i] and, for a continuous list, its per-bin
+  // minima at mins_at_[s * m + i].
+  std::vector<std::int64_t*> counts_at_;
+  std::vector<double*> mins_at_;
+  // Voting only: every node's local histograms, [slot][node][row].
+  std::vector<std::int64_t> staged_counts_;
+  std::vector<double> staged_mins_;
   std::vector<std::int64_t> local_totals_;  // [node][class], voting only
-  std::vector<std::int32_t> votes_;         // [node][attribute], voting only
   std::vector<std::uint8_t> elected_mask_;  // [node][attribute]
   std::vector<std::vector<std::size_t>> elected_nodes_;
   // Per list, the owner chunks of its elected nodes: the equal block
   // partition over the ranks as offsets_from_sizes() offsets.
   std::vector<std::vector<std::size_t>> chunk_offsets_;
-  // This rank's merged chunk per list: a segment of batch_ after round 2,
-  // defined only where the chunk is non-empty.
-  std::vector<std::size_t> seg_counts_, seg_min_, seg_cat_;
+  // The merge_ segment of each owner's chunk, per list slot (counts) and
+  // per continuous list (minima); defined where the chunk is non-empty.
+  std::vector<std::vector<std::size_t>> seg_counts_, seg_min_;
   std::vector<std::int32_t> child_of_row_;
   std::uint64_t histogram_bytes_total_ = 0;
   std::uint64_t vote_bytes_total_ = 0;
@@ -482,6 +478,91 @@ void HistogramEngine::write_checkpoint(CheckpointRankWriter& writer,
   }
 }
 
+// Round 2's directory. Every list's elected nodes are cut into p contiguous
+// chunks, chunk r owned by rank r, and each non-empty chunk is one rooted
+// segment, so rank r's pack for an owner holds, in order, each continuous
+// list's counts chunk then its minima chunk, then the categorical chunks.
+// The elected sets derive from global data, so every rank places the
+// identical directory.
+void HistogramEngine::place_merge_round(Level& level) {
+  const std::size_t m = level.m;
+  const auto na = static_cast<std::size_t>(num_attrs_);
+  for (std::size_t slot = 0; slot < num_cont_ + num_cat_; ++slot) {
+    const auto attr = static_cast<std::size_t>(
+        slot < num_cont_ ? cont_attr_[slot] : cat_attr_[slot - num_cont_]);
+    std::vector<std::size_t>& nodes = elected_nodes_[slot];
+    nodes.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (elected_mask_[i * na + attr]) nodes.push_back(i);
+    }
+    chunk_offsets_[slot] = sort::offsets_from_sizes(
+        sort::equal_partition_sizes(nodes.size(), comm_.size()));
+  }
+  merge_.reset();
+  std::uint64_t merged_bytes = 0;
+  for (std::size_t slot = 0; slot < num_cont_ + num_cat_; ++slot) {
+    place_owner_chunks(slot, row_width(slot), mp::SumOp{}, std::int64_t{0},
+                       seg_counts_[slot], merged_bytes);
+    if (slot < num_cont_) {
+      place_owner_chunks(slot, ubins_, mp::MinOp{},
+                         std::numeric_limits<double>::infinity(),
+                         seg_min_[slot], merged_bytes);
+    }
+  }
+  // The bytes the round moves: packs carry no padding between segments.
+  level.set_bytes(static_cast<std::int64_t>(merged_bytes));
+  histogram_bytes_total_ += merged_bytes;
+}
+
+// Calls counts_row(slot, i, row) with node i's count row in round 2's pack
+// for every elected node i of every list slot, and mins_row(slot, i, row)
+// with its minima row for the continuous lists.
+template <typename CountsRow, typename MinsRow>
+void HistogramEngine::for_each_merge_row(CountsRow&& counts_row,
+                                         MinsRow&& mins_row) {
+  for (std::size_t slot = 0; slot < num_cont_ + num_cat_; ++slot) {
+    const std::vector<std::size_t>& nodes = elected_nodes_[slot];
+    const std::vector<std::size_t>& chunks = chunk_offsets_[slot];
+    const std::size_t width = row_width(slot);
+    for (std::size_t r = 0; r + 1 < chunks.size(); ++r) {
+      const std::size_t lo = chunks[r];
+      const std::size_t hi = chunks[r + 1];
+      if (lo == hi) continue;
+      std::int64_t* const counts =
+          merge_.segment<std::int64_t>(seg_counts_[slot][r]).data();
+      double* const mins =
+          slot < num_cont_ ? merge_.segment<double>(seg_min_[slot][r]).data()
+                           : nullptr;
+      for (std::size_t k = lo; k < hi; ++k) {
+        counts_row(slot, nodes[k], counts + (k - lo) * width);
+        if (mins != nullptr) mins_row(slot, nodes[k], mins + (k - lo) * ubins_);
+      }
+    }
+  }
+}
+
+// Voting mode's local histograms: every node of every list, in staging
+// arrays laid out [slot][node][row].
+void HistogramEngine::stage_histograms(std::size_t m) {
+  std::size_t total = 0;
+  for (std::size_t slot = 0; slot < num_cont_ + num_cat_; ++slot) {
+    total += m * row_width(slot);
+  }
+  staged_counts_.assign(total, 0);
+  staged_mins_.assign(num_cont_ * m * ubins_,
+                      std::numeric_limits<double>::infinity());
+  std::int64_t* next = staged_counts_.data();
+  for (std::size_t slot = 0; slot < num_cont_ + num_cat_; ++slot) {
+    for (std::size_t i = 0; i < m; ++i) {
+      counts_at_[slot * m + i] = next;
+      next += row_width(slot);
+    }
+  }
+  for (std::size_t k = 0; k < num_cont_ * m; ++k) {
+    mins_at_[k] = staged_mins_.data() + k * ubins_;
+  }
+}
+
 void HistogramEngine::find_splits(Level& level) {
   const std::size_t m = level.m;
   const std::size_t local_n = row_cls_.size();
@@ -494,10 +575,14 @@ void HistogramEngine::find_splits(Level& level) {
 
   // Round 1: global [lo, hi] per (continuous attribute, node) so every rank
   // bins with the identical edges.
-  ranges_scratch_.assign(num_cont_ * m, ValueRange{});
+  flat_.reset();
+  const std::size_t seg_ranges =
+      flat_.place<ValueRange>(num_cont_ * m, RangeOp{}, ValueRange{});
+  const std::span<ValueRange> local_ranges =
+      flat_.segment<ValueRange>(seg_ranges);
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const double* const col = cont_col_[li].data();
-    ValueRange* const out = ranges_scratch_.data() + li * m;
+    ValueRange* const out = local_ranges.data() + li * m;
     for (std::size_t row = 0; row < local_n; ++row) {
       const std::int32_t i = node_of_[row];
       if (i < 0) continue;
@@ -508,24 +593,37 @@ void HistogramEngine::find_splits(Level& level) {
     }
     comm_.add_work(static_cast<double>(local_n));
   }
-  batch_.reset();
-  const std::size_t seg_ranges = batch_.add<ValueRange>(
-      std::span<const ValueRange>(ranges_scratch_), RangeOp{}, ValueRange{});
-  histogram_bytes_total_ += batch_.packed_bytes();
-  batch_.allreduce();
-  ranges_ = batch_.take<ValueRange>(seg_ranges);
+  histogram_bytes_total_ += flat_.packed_bytes();
+  flat_.allreduce();
+  const std::span<const ValueRange> ranges = flat_.view<ValueRange>(seg_ranges);
 
   // Local histograms: per continuous list [node][bin][class] counts plus the
   // per-bin minimum value; per categorical list the usual
-  // [node][value][class] count matrix.
-  cont_counts_.assign(num_cont_ * m * ubins * uc, 0);
-  cont_bin_min_.assign(num_cont_ * m * ubins,
-                       std::numeric_limits<double>::infinity());
+  // [node][value][class] count matrix. Histogram mode merges every node's
+  // histograms, so it places round 2 first and builds them straight into
+  // the packs that round sends. Voting mode must score all of them before
+  // the election picks the rows to merge, so it builds them in staging
+  // arrays.
+  counts_at_.resize((num_cont_ + num_cat_) * m);
+  mins_at_.resize(num_cont_ * m);
+  if (voting_) {
+    stage_histograms(m);
+  } else {
+    elected_mask_.assign(m * na, 1);
+    place_merge_round(level);
+    for_each_merge_row(
+        [&](std::size_t slot, std::size_t i, std::int64_t* row) {
+          counts_at_[slot * m + i] = row;
+        },
+        [&](std::size_t li, std::size_t i, double* row) {
+          mins_at_[li * m + i] = row;
+        });
+  }
   for (std::size_t li = 0; li < num_cont_; ++li) {
     const double* const col = cont_col_[li].data();
-    const ValueRange* const rng = ranges_.data() + li * m;
-    std::int64_t* const counts = cont_counts_.data() + li * m * ubins * uc;
-    double* const mins = cont_bin_min_.data() + li * m * ubins;
+    const ValueRange* const rng = ranges.data() + li * m;
+    std::int64_t* const* const counts = counts_at_.data() + li * m;
+    double* const* const mins = mins_at_.data() + li * m;
     for (std::size_t row = 0; row < local_n; ++row) {
       const std::int32_t i = node_of_[row];
       if (i < 0) continue;
@@ -533,38 +631,30 @@ void HistogramEngine::find_splits(Level& level) {
       const double v = col[row];
       const auto b =
           static_cast<std::size_t>(histogram_bin_of(v, rng[ui], bins_));
-      ++counts[(ui * ubins + b) * uc + static_cast<std::size_t>(row_cls_[row])];
-      if (v < mins[ui * ubins + b]) mins[ui * ubins + b] = v;
+      ++counts[ui][b * uc + static_cast<std::size_t>(row_cls_[row])];
+      if (v < mins[ui][b]) mins[ui][b] = v;
     }
     comm_.add_work(static_cast<double>(local_n));
   }
-  cat_counts_begin_[0] = 0;
-  for (std::size_t li = 0; li < num_cat_; ++li) {
-    const auto card = static_cast<std::size_t>(cat_card_[li]);
-    cat_counts_begin_[li + 1] = cat_counts_begin_[li] + m * card * uc;
-  }
-  cat_counts_.assign(cat_counts_begin_[num_cat_], 0);
   for (std::size_t li = 0; li < num_cat_; ++li) {
     const std::int32_t* const col = cat_col_[li].data();
-    const auto card = static_cast<std::size_t>(cat_card_[li]);
-    std::int64_t* const counts = cat_counts_.data() + cat_counts_begin_[li];
+    std::int64_t* const* const counts =
+        counts_at_.data() + (num_cont_ + li) * m;
     for (std::size_t row = 0; row < local_n; ++row) {
       const std::int32_t i = node_of_[row];
       if (i < 0) continue;
-      ++counts[(static_cast<std::size_t>(i) * card +
-                static_cast<std::size_t>(col[row])) *
-                   uc +
+      ++counts[static_cast<std::size_t>(i)]
+              [static_cast<std::size_t>(col[row]) * uc +
                static_cast<std::size_t>(row_cls_[row])];
     }
     comm_.add_work(static_cast<double>(local_n));
   }
 
-  // Election: which (node, attribute) histograms get merged. Histogram mode
-  // merges everything; voting mode lets each rank vote its local top-k
-  // attributes per node, sums the votes in one packed allreduce and keeps
-  // the global top-2k (all attributes when nobody could vote, e.g. every
-  // rank's local fragment of the node is single-valued).
-  elected_mask_.assign(m * na, 1);
+  // Election (voting mode): each rank votes its local top-k attributes per
+  // node, one packed allreduce sums the votes, and the global top-2k are
+  // merged (all attributes when nobody could vote, e.g. every rank's local
+  // fragment of the node is single-valued). Only the elected rows are
+  // copied into round 2's packs.
   if (voting_) {
     local_totals_.assign(m * uc, 0);
     for (std::size_t row = 0; row < local_n; ++row) {
@@ -574,7 +664,10 @@ void HistogramEngine::find_splits(Level& level) {
                       static_cast<std::size_t>(row_cls_[row])];
     }
     comm_.add_work(static_cast<double>(local_n));
-    votes_.assign(m * na, 0);
+    flat_.reset();
+    const std::size_t vote_seg =
+        flat_.place<std::int32_t>(m * na, mp::SumOp{}, std::int32_t{0});
+    const std::span<std::int32_t> votes = flat_.segment<std::int32_t>(vote_seg);
     std::vector<std::pair<double, int>> scored;
     for (std::size_t i = 0; i < m; ++i) {
       scored.clear();
@@ -583,11 +676,9 @@ void HistogramEngine::find_splits(Level& level) {
       for (std::size_t li = 0; li < num_cont_; ++li) {
         SplitCandidate cand;
         best_histogram_split(
-            std::span<const std::int64_t>(
-                cont_counts_.data() + (li * m + i) * ubins * uc, ubins * uc),
-            std::span<const double>(
-                cont_bin_min_.data() + (li * m + i) * ubins, ubins),
-            totals, bins_, options_.criterion,
+            std::span<const std::int64_t>(counts_at_[li * m + i], ubins * uc),
+            std::span<const double>(mins_at_[li * m + i], ubins), totals,
+            bins_, options_.criterion,
             static_cast<std::int32_t>(cont_attr_[li]), cand);
         if (cand.valid()) scored.emplace_back(cand.gini, cont_attr_[li]);
       }
@@ -595,9 +686,8 @@ void HistogramEngine::find_splits(Level& level) {
         const auto card = static_cast<std::size_t>(cat_card_[li]);
         const CountMatrix matrix = CountMatrix::from_flat(
             cat_card_[li], c_,
-            std::span<const std::int64_t>(
-                cat_counts_.data() + cat_counts_begin_[li] + i * card * uc,
-                card * uc));
+            std::span<const std::int64_t>(counts_at_[(num_cont_ + li) * m + i],
+                                          card * uc));
         const SplitCandidate cand = best_categorical_split(
             matrix, static_cast<std::int32_t>(cat_attr_[li]),
             options_.categorical_split, options_.criterion);
@@ -607,17 +697,14 @@ void HistogramEngine::find_splits(Level& level) {
       const std::size_t k =
           std::min(scored.size(), static_cast<std::size_t>(options_.top_k));
       for (std::size_t s = 0; s < k; ++s) {
-        votes_[i * na + static_cast<std::size_t>(scored[s].second)] = 1;
+        votes[i * na + static_cast<std::size_t>(scored[s].second)] = 1;
       }
       comm_.add_work(static_cast<double>(num_attrs_));
     }
-    batch_.reset();
-    const std::size_t vote_seg = batch_.add<std::int32_t>(
-        std::span<const std::int32_t>(votes_), mp::SumOp{}, std::int32_t{0});
-    vote_bytes_total_ += batch_.packed_bytes();
-    batch_.allreduce();
+    vote_bytes_total_ += flat_.packed_bytes();
+    flat_.allreduce();
     const std::span<const std::int32_t> vote_totals =
-        batch_.view<std::int32_t>(vote_seg);
+        flat_.view<std::int32_t>(vote_seg);
 
     elected_mask_.assign(m * na, 0);
     std::vector<std::pair<std::int32_t, int>> ranked;
@@ -641,54 +728,20 @@ void HistogramEngine::find_splits(Level& level) {
         elected_mask_[i * na + static_cast<std::size_t>(ranked[s].second)] = 1;
       }
     }
+    place_merge_round(level);
+    for_each_merge_row(
+        [&](std::size_t slot, std::size_t i, std::int64_t* row) {
+          std::copy_n(counts_at_[slot * m + i], row_width(slot), row);
+        },
+        [&](std::size_t li, std::size_t i, double* row) {
+          std::copy_n(mins_at_[li * m + i], ubins, row);
+        });
   }
 
   // Round 2: merge each elected histogram / count matrix at one owner rank.
-  // Every list's elected nodes are cut into p contiguous chunks, chunk r
-  // owned by rank r, and one rooted reduce sends each peer only its chunk.
-  // The elected sets derive from global data, so every rank builds the
-  // identical segment directory. Each list's elected rows are first packed
-  // to the front of its own region of the local histograms; after this
-  // round only the batch is read.
-  batch_.reset();
-  for (std::size_t li = 0; li < num_cont_ + num_cat_; ++li) {
-    const int attr =
-        li < num_cont_ ? cont_attr_[li] : cat_attr_[li - num_cont_];
-    std::vector<std::size_t>& nodes = elected_nodes_[li];
-    nodes.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (elected_mask_[i * na + static_cast<std::size_t>(attr)]) {
-        nodes.push_back(i);
-      }
-    }
-    chunk_offsets_[li] = sort::offsets_from_sizes(
-        sort::equal_partition_sizes(nodes.size(), comm_.size()));
-  }
-  std::uint64_t merged_bytes = 0;
-  for (std::size_t li = 0; li < num_cont_; ++li) {
-    const std::vector<std::size_t>& nodes = elected_nodes_[li];
-    seg_counts_[li] = add_owner_chunks(
-        pack_rows_in_place(cont_counts_.data() + li * m * ubins * uc, nodes,
-                           ubins * uc),
-        chunk_offsets_[li], ubins * uc, mp::SumOp{}, std::int64_t{0},
-        merged_bytes);
-    seg_min_[li] = add_owner_chunks(
-        pack_rows_in_place(cont_bin_min_.data() + li * m * ubins, nodes, ubins),
-        chunk_offsets_[li], ubins, mp::MinOp{},
-        std::numeric_limits<double>::infinity(), merged_bytes);
-  }
-  for (std::size_t li = 0; li < num_cat_; ++li) {
-    const auto card = static_cast<std::size_t>(cat_card_[li]);
-    seg_cat_[li] = add_owner_chunks(
-        pack_rows_in_place(cat_counts_.data() + cat_counts_begin_[li],
-                           elected_nodes_[num_cont_ + li], card * uc),
-        chunk_offsets_[num_cont_ + li], card * uc, mp::SumOp{},
-        std::int64_t{0}, merged_bytes);
-  }
-  // The segments' payload: the padding packed between them is not sent.
-  level.set_bytes(static_cast<std::int64_t>(merged_bytes));
-  histogram_bytes_total_ += merged_bytes;
-  batch_.reduce_rooted();
+  // One rooted reduce moves each peer only its chunk; after it only this
+  // rank's own chunks are read.
+  merge_.reduce_rooted();
 
   // ---------------- FindSplitII: score the owned histograms --------------
   // Each rank scores only the chunks it owns; the driver's closing
@@ -702,8 +755,9 @@ void HistogramEngine::find_splits(Level& level) {
     const std::size_t hi = chunk_offsets_[li][rank + 1];
     if (lo == hi) continue;
     const std::span<const std::int64_t> counts =
-        batch_.view<std::int64_t>(seg_counts_[li]);
-    const std::span<const double> mins = batch_.view<double>(seg_min_[li]);
+        merge_.view<std::int64_t>(seg_counts_[li][rank]);
+    const std::span<const double> mins =
+        merge_.view<double>(seg_min_[li][rank]);
     for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = nodes[k];
       best_histogram_split(counts.subspan((k - lo) * ubins * uc, ubins * uc),
@@ -731,7 +785,7 @@ void HistogramEngine::find_splits(Level& level) {
 }
 
 void HistogramEngine::perform_split_i(Level& level,
-                                      std::vector<std::int64_t>& kid_counts) {
+                                      std::span<std::int64_t> kid_counts) {
   // Every attribute of a record lives on this rank, so child assignment is
   // one local pass — no node table, no scatter, no enquiries.
   const std::size_t local_n = row_cls_.size();

@@ -73,9 +73,6 @@ using ContList = ListFragment<ContinuousColumns, ContinuousEntry>;
 struct CatList : ListFragment<CategoricalColumns, CategoricalEntry> {
   std::int32_t cardinality = 0;
   int coordinator = 0;  // rank that reduces/owns this attribute's matrices
-  // Coordinator-only: this level's global count matrices, laid out
-  // [active node][value][class].
-  std::vector<std::int64_t> global_counts;
 };
 
 // Wire element of the replicated rid -> child mapping (the SPRINT baseline,
@@ -188,14 +185,14 @@ class ExactEngine final : public internal::InductionEngine {
   int categorical_holder(const Level& level, std::size_t i) const override {
     return options_.categorical_reduction == CategoricalReduction::kAllRanks
                ? -1
-               : cat_list_of(level.best[i].attribute).coordinator;
+               : cat_lists_[cat_index_of(level.best[i].attribute)].coordinator;
   }
   CountMatrix categorical_matrix(const Level& level,
                                  std::size_t i) const override {
-    return matrix_of(cat_list_of(level.best[i].attribute), i);
+    return matrix_of(cat_index_of(level.best[i].attribute), i);
   }
   void perform_split_i(Level& level,
-                       std::vector<std::int64_t>& kid_counts) override;
+                       std::span<std::int64_t> kid_counts) override;
   void perform_split_ii(Level& level,
                         const internal::LevelGrowth& growth) override;
 
@@ -212,21 +209,23 @@ class ExactEngine final : public internal::InductionEngine {
     }
   }
 
-  const CatList& cat_list_of(int attribute) const {
-    for (const CatList& list : cat_lists_) {
-      if (list.attribute == attribute) return list;
+  std::size_t cat_index_of(int attribute) const {
+    for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
+      if (cat_lists_[li].attribute == attribute) return li;
     }
     throw std::logic_error("induction: no categorical list for attribute " +
                            std::to_string(attribute));
   }
 
-  // Node i's global count matrix from list.global_counts, on a rank holding
-  // it: the attribute's coordinator or, with kAllRanks, every rank.
-  CountMatrix matrix_of(const CatList& list, std::size_t i) const {
+  // Node i's global count matrix of categorical list li, read in place from
+  // the level's merged segment on a rank holding it: the attribute's
+  // coordinator or, with kAllRanks, every rank.
+  CountMatrix matrix_of(std::size_t li, std::size_t i) const {
+    const CatList& list = cat_lists_[li];
     const auto card = static_cast<std::size_t>(list.cardinality);
     return CountMatrix::from_flat(
         list.cardinality, static_cast<int>(c_),
-        std::span<const std::int64_t>(list.global_counts)
+        batch_.view<std::int64_t>(cat_segs_[li])
             .subspan(i * card * c_, card * c_));
   }
 
@@ -322,8 +321,6 @@ class ExactEngine final : public internal::InductionEngine {
   // reused across levels instead of reallocated (the sizes shrink with the
   // active record count, so the first level's allocation usually suffices).
   mp::CollectiveBatch batch_;
-  std::vector<std::int64_t> counts_scratch_;
-  std::vector<Boundary> boundary_scratch_;
   std::vector<std::int64_t> update_rids_;
   std::vector<std::int32_t> update_children_;
   std::vector<std::int64_t> enquiry_scratch_;
@@ -347,11 +344,10 @@ void ExactEngine::find_splits(Level& level) {
   const std::size_t c = c_;
   std::vector<SplitCandidate>& best = level.best;
 
-  // Local class counts per (node, class) for one continuous list. The
-  // loop touches only the class column (4B/record).
+  // Local class counts per (node, class) for one continuous list, into its
+  // zeroed segment. The loop touches only the class column (4B/record).
   const auto count_continuous = [&](const ContList& list,
-                                    std::vector<std::int64_t>& local_counts) {
-    local_counts.assign(m * c, 0);
+                                    std::span<std::int64_t> local_counts) {
     const std::int32_t* const cls = list.cols.cls.data();
     for (std::size_t i = 0; i < m; ++i) {
       std::int64_t* const row = local_counts.data() + i * c;
@@ -363,10 +359,9 @@ void ExactEngine::find_splits(Level& level) {
     comm_.add_work(static_cast<double>(list.cols.size()));
   };
   // Boundary values: the last attribute value of each node's segment on
-  // any earlier rank.
+  // any earlier rank, into its empty-filled segment.
   const auto boundaries_of = [&](const ContList& list,
-                                 std::vector<Boundary>& boundary) {
-    boundary.assign(m, Boundary{});
+                                 std::span<Boundary> boundary) {
     for (std::size_t i = 0; i < m; ++i) {
       if (list.offsets[i + 1] == list.offsets[i]) continue;
       boundary[i] = Boundary{list.cols.values[list.offsets[i + 1] - 1], 1};
@@ -393,14 +388,16 @@ void ExactEngine::find_splits(Level& level) {
     level.phase("findsplit_i");
     batch_.reset();
     for (std::size_t li = 0; li < cont_lists_.size(); ++li) {
-      count_continuous(cont_lists_[li], counts_scratch_);
-      cont_count_segs_[li] = batch_.add<std::int64_t>(
-          std::span<const std::int64_t>(counts_scratch_), mp::SumOp{},
-          std::int64_t{0});
-      boundaries_of(cont_lists_[li], boundary_scratch_);
-      cont_boundary_segs_[li] = batch_.add<Boundary>(
-          std::span<const Boundary>(boundary_scratch_), RightmostOp{},
-          Boundary{});
+      cont_count_segs_[li] =
+          batch_.place<std::int64_t>(m * c, mp::SumOp{}, std::int64_t{0});
+      cont_boundary_segs_[li] =
+          batch_.place<Boundary>(m, RightmostOp{}, Boundary{});
+    }
+    for (std::size_t li = 0; li < cont_lists_.size(); ++li) {
+      count_continuous(cont_lists_[li],
+                       batch_.segment<std::int64_t>(cont_count_segs_[li]));
+      boundaries_of(cont_lists_[li],
+                    batch_.segment<Boundary>(cont_boundary_segs_[li]));
     }
     level.set_bytes(static_cast<std::int64_t>(batch_.packed_bytes()));
     util::ScopedAllocation counts_mem(comm_.meter(),
@@ -417,10 +414,10 @@ void ExactEngine::find_splits(Level& level) {
 
   const bool all_ranks =
       options_.categorical_reduction == CategoricalReduction::kAllRanks;
+  // Local count matrices of one categorical list, into its zeroed segment.
   const auto count_categorical = [&](const CatList& list,
-                                     std::vector<std::int64_t>& local_counts) {
+                                     std::span<std::int64_t> local_counts) {
     const std::size_t card = static_cast<std::size_t>(list.cardinality);
-    local_counts.assign(m * card * c, 0);
     const std::int32_t* const values = list.cols.values.data();
     const std::int32_t* const cls = list.cols.cls.data();
     for (std::size_t i = 0; i < m; ++i) {
@@ -433,13 +430,13 @@ void ExactEngine::find_splits(Level& level) {
     }
     comm_.add_work(static_cast<double>(list.cols.size()));
   };
-  // Evaluates one categorical list's candidates from list.global_counts
-  // (callable only where the global matrices live: coordinator or, with
-  // kAllRanks, everywhere).
-  const auto eval_categorical = [&](const CatList& list) {
+  // Evaluates categorical list li's candidates from its merged matrices
+  // (callable only where they live: coordinator or, with kAllRanks,
+  // everywhere).
+  const auto eval_categorical = [&](std::size_t li) {
     for (std::size_t i = 0; i < m; ++i) {
       const SplitCandidate candidate = best_categorical_split(
-          matrix_of(list, i), static_cast<std::int32_t>(list.attribute),
+          matrix_of(li, i), static_cast<std::int32_t>(cat_lists_[li].attribute),
           options_.categorical_split, options_.criterion);
       if (candidate_less(candidate, best[i])) best[i] = candidate;
     }
@@ -451,10 +448,15 @@ void ExactEngine::find_splits(Level& level) {
   level.phase("findsplit_i");
   batch_.reset();
   for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
-    count_categorical(cat_lists_[li], counts_scratch_);
-    cat_segs_[li] = batch_.add<std::int64_t>(
-        std::span<const std::int64_t>(counts_scratch_), mp::SumOp{},
-        std::int64_t{0}, all_ranks ? 0 : cat_lists_[li].coordinator);
+    const CatList& list = cat_lists_[li];
+    cat_segs_[li] = batch_.place<std::int64_t>(
+        m * static_cast<std::size_t>(list.cardinality) * c, mp::SumOp{},
+        std::int64_t{0},
+        all_ranks ? mp::CollectiveBatch::kFlat : list.coordinator);
+  }
+  for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
+    count_categorical(cat_lists_[li],
+                      batch_.segment<std::int64_t>(cat_segs_[li]));
   }
   level.set_bytes(static_cast<std::int64_t>(batch_.packed_bytes()));
   util::ScopedAllocation counts_mem(comm_.meter(),
@@ -467,18 +469,14 @@ void ExactEngine::find_splits(Level& level) {
   }
   level.phase("findsplit_ii");
   for (std::size_t li = 0; li < cat_lists_.size(); ++li) {
-    CatList& list = cat_lists_[li];
-    if (all_ranks || comm_.rank() == list.coordinator) {
-      list.global_counts = batch_.take<std::int64_t>(cat_segs_[li]);
-      eval_categorical(list);
-    } else {
-      list.global_counts.clear();
+    if (all_ranks || comm_.rank() == cat_lists_[li].coordinator) {
+      eval_categorical(li);
     }
   }
 }
 
 void ExactEngine::perform_split_i(Level& level,
-                                  std::vector<std::int64_t>& kid_counts) {
+                                  std::span<std::int64_t> kid_counts) {
   // Assign child slots on the splitting attributes' own lists, collect the
   // node-table updates, and count (node, child, class) locally.
   update_rids_.clear();

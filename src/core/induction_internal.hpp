@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,9 +136,10 @@ class InductionEngine {
   virtual CountMatrix categorical_matrix(const Level& level,
                                          std::size_t i) const = 0;
   // PerformSplit I: assigns a child to every local record of a splitting
-  // node and counts them by (node, child, class) into `kid_counts`.
+  // node and counts them by (node, child, class) into `kid_counts` (zeroed,
+  // laid out by level.kid_offset).
   virtual void perform_split_i(Level& level,
-                               std::vector<std::int64_t>& kid_counts) = 0;
+                               std::span<std::int64_t> kid_counts) = 0;
   // PerformSplit II, after the tree has grown: regroups the local state by
   // the next level's active nodes.
   virtual void perform_split_ii(Level& level, const LevelGrowth& growth) = 0;

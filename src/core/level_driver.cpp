@@ -389,7 +389,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   // Hoisted so their capacity is reused across levels.
   mp::CollectiveBatch batch(comm);
   std::vector<std::size_t> mapped_nodes;
-  std::vector<std::int64_t> local_kid_counts;
 
   while (!active.empty()) {
     internal::Level level(comm, level_index, active);
@@ -475,18 +474,15 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     }
 
     // ---------------- PerformSplitI ----------------------------------------
-    local_kid_counts.assign(level.kid_offset[level.m], 0);
-    engine->perform_split_i(level, local_kid_counts);
-    std::vector<std::int64_t> global_kid_counts;
-    if (!local_kid_counts.empty()) {
-      batch.reset();
-      const std::size_t seg = batch.add<std::int64_t>(
-          std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-      batch.allreduce();
-      global_kid_counts = batch.take<std::int64_t>(seg);
-    }
-    internal::LevelGrowth growth =
-        grow_tree_level(result.tree, level, global_kid_counts, c, options);
+    // The engine counts (node, child, class) straight into the segment the
+    // allreduce sums; the tree grows from the merged counts in place.
+    batch.reset();
+    const std::size_t kid_seg =
+        batch.place<std::int64_t>(level.kid_offset[level.m], mp::SumOp{});
+    engine->perform_split_i(level, batch.segment<std::int64_t>(kid_seg));
+    if (level.kid_offset[level.m] > 0) batch.allreduce();
+    internal::LevelGrowth growth = grow_tree_level(
+        result.tree, level, batch.view<std::int64_t>(kid_seg), c, options);
 
     // ---------------- PerformSplitII ---------------------------------------
     engine->perform_split_ii(level, growth);

@@ -1,13 +1,92 @@
 #include "mp/collective_batch.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace scalparc::mp {
+
+CollectiveBatch::CollectiveBatch(Comm& comm)
+    : comm_(comm), packs_(static_cast<std::size_t>(comm.size())) {}
+
+void CollectiveBatch::reset() {
+  segments_.clear();
+  rooted_ = false;
+  reduced_ = false;
+  packed_bytes_ = 0;
+  filled_segments_ = 0;
+  buffer_.clear();
+  for (Pack& pack : packs_) {
+    pack.size = 0;
+    pack.filled = 0;
+    pack.segments = 0;
+  }
+}
+
+void CollectiveBatch::check_defined(const Segment& seg, std::size_t id) const {
+  if (id >= filled_segments_) {
+    throw std::logic_error(
+        "CollectiveBatch: segment read before it has storage");
+  }
+  if (reduced_ && seg.root != comm_.rank()) {
+    throw std::logic_error(
+        "CollectiveBatch: after reduce_rooted() only this rank's own "
+        "segments are defined");
+  }
+}
+
+void CollectiveBatch::fill() {
+  if (filled_segments_ == segments_.size()) return;
+  if (rooted_) {
+    // A pack that outgrows its buffer is reallocated at the widest pack's
+    // size, so a buffer recycled to any peer fits its next pack too.
+    std::size_t widest = 0;
+    for (const Pack& pack : packs_) widest = std::max(widest, pack.size);
+    for (Pack& pack : packs_) {
+      if (pack.size == pack.filled) continue;
+      if (pack.size > pack.bytes.capacity()) {
+        pack.bytes.resize(pack.filled);  // carry over only what is filled
+        pack.bytes.reserve(widest);
+      }
+      pack.bytes.resize(pack.size);
+      pack.filled = pack.size;
+    }
+  } else {
+    // Zeroes the padding between segments along with the new bytes.
+    buffer_.resize(segments_[filled_segments_].offset);
+    buffer_.resize(packed_bytes_);
+  }
+  for (; filled_segments_ < segments_.size(); ++filled_segments_) {
+    const Segment& seg = segments_[filled_segments_];
+    fill_identity(storage(seg) + seg.offset, seg);
+  }
+}
+
+// By doubling copies: one element, then ever larger copies of what is
+// already filled.
+void CollectiveBatch::fill_identity(std::byte* dst, const Segment& seg) {
+  if (seg.bytes == 0) return;
+  std::memcpy(dst, seg.identity, seg.elem_size);
+  for (std::size_t done = seg.elem_size; done < seg.bytes;) {
+    const std::size_t chunk = std::min(done, seg.bytes - done);
+    std::memcpy(dst + done, dst, chunk);
+    done += chunk;
+  }
+}
+
+void CollectiveBatch::require(bool rooted, const char* round) const {
+  if (rooted_ != rooted) {
+    throw std::logic_error(std::string("CollectiveBatch::") + round +
+                           (rooted ? ": needs rooted segments"
+                                   : ": needs flat segments"));
+  }
+}
 
 void CollectiveBatch::combine_all(std::byte* dst,
                                   std::span<const std::byte> incoming,
@@ -23,27 +102,6 @@ void CollectiveBatch::combine_all(std::byte* dst,
   }
 }
 
-void CollectiveBatch::pack_rooted(int root) {
-  std::size_t bytes = 0;
-  for (const Segment& seg : segments_) {
-    if (seg.root == root) bytes += seg.bytes;
-  }
-  pack_.clear();
-  pack_.reserve(bytes);
-  for (const Segment& seg : segments_) {
-    if (seg.root != root) continue;
-    pack_.insert(pack_.end(), buffer_.data() + seg.offset,
-                 buffer_.data() + seg.offset + seg.bytes);
-  }
-}
-
-bool CollectiveBatch::owns_any(int root) const {
-  for (const Segment& seg : segments_) {
-    if (seg.root == root) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Exclusive scan: distance doubling over the whole packed buffer. One
 // message per rank per round, log2(p) rounds — independent of how many
@@ -52,6 +110,8 @@ bool CollectiveBatch::owns_any(int root) const {
 
 void CollectiveBatch::exscan() {
   if (segments_.empty()) return;
+  require(false, "exscan");
+  fill();
   Comm::OpScope scope(comm_, CommOp::kScan);
   const int p = comm_.size();
   const int r = comm_.rank();
@@ -59,10 +119,7 @@ void CollectiveBatch::exscan() {
   // The exclusive result starts as each segment's identity, replicated.
   exclusive_.assign(buffer_.size(), std::byte{0});
   for (const Segment& seg : segments_) {
-    for (std::size_t off = 0; off < seg.bytes; off += seg.elem_size) {
-      std::memcpy(exclusive_.data() + seg.offset + off, seg.identity,
-                  seg.elem_size);
-    }
+    fill_identity(exclusive_.data() + seg.offset, seg);
   }
 
   for (int d = 1; d < p; d <<= 1) {
@@ -89,6 +146,8 @@ void CollectiveBatch::exscan() {
 
 void CollectiveBatch::allreduce() {
   if (segments_.empty()) return;
+  require(false, "allreduce");
+  fill();
   Comm::OpScope scope(comm_, CommOp::kAllreduce);
   const int p = comm_.size();
   const int r = comm_.rank();
@@ -143,14 +202,19 @@ void CollectiveBatch::allreduce() {
 
 // ---------------------------------------------------------------------------
 // Rooted reduce: the paper's coordinator scheme as one round. Every rank
-// packs, per distinct root, its contributions to that root's segments and
-// sends them directly; each root folds the p-1 incoming packs into its own
-// segments. Replaces one binomial reduce per categorical attribute with a
-// single direct exchange carrying all matrices at once.
+// moves its pack for each root to that root; each root folds the p-1
+// incoming packs into its own pack in place. Replaces one binomial reduce
+// per categorical attribute with a single direct exchange carrying all
+// matrices at once. A received pack's buffer stays behind as this rank's
+// pack for that peer, so the next directory fills it instead of
+// allocating; Payload::take copies if the transport still shares the
+// buffer, so the reuse is safe.
 // ---------------------------------------------------------------------------
 
 void CollectiveBatch::reduce_rooted() {
   if (segments_.empty()) return;
+  require(true, "reduce_rooted");
+  fill();
   Comm::OpScope scope(comm_, CommOp::kReduce);
   const int p = comm_.size();
   const int r = comm_.rank();
@@ -158,73 +222,60 @@ void CollectiveBatch::reduce_rooted() {
   const std::int64_t tag = comm_.next_collective_tag();
 
   for (int dst = 0; dst < p; ++dst) {
-    if (dst == r || !owns_any(dst)) continue;
-    pack_rooted(dst);
-    // The pack is dead after the send: hand the buffer to the mailbox.
-    comm_.send<std::byte>(dst, tag, std::move(pack_));
+    Pack& pack = packs_[static_cast<std::size_t>(dst)];
+    if (dst == r || pack.segments == 0) continue;
+    comm_.send<std::byte>(dst, tag, std::move(pack.bytes));
   }
-  if (!owns_any(r)) return;
+  reduced_ = true;
+  std::vector<std::byte>& own = packs_[static_cast<std::size_t>(r)].bytes;
+  if (packs_[static_cast<std::size_t>(r)].segments == 0) return;
   for (int src = 0; src < p; ++src) {
     if (src == r) continue;
-    const std::vector<std::byte> incoming = comm_.recv<std::byte>(src, tag);
-    std::size_t cursor = 0;
+    std::vector<std::byte>& incoming =
+        packs_[static_cast<std::size_t>(src)].bytes;
+    incoming = comm_.recv<std::byte>(src, tag);
+    if (incoming.size() != own.size()) {
+      throw std::logic_error(
+          "CollectiveBatch: rooted pack differs in size from the directory");
+    }
     for (const Segment& seg : segments_) {
       if (seg.root != r) continue;
-      if (cursor + seg.bytes > incoming.size()) {
-        throw std::logic_error(
-            "CollectiveBatch: rooted pack shorter than the directory");
-      }
-      seg.combine(buffer_.data() + seg.offset, incoming.data() + cursor,
+      seg.combine(own.data() + seg.offset, incoming.data() + seg.offset,
                   seg.bytes, /*incoming_left=*/false);
-      cursor += seg.bytes;
-    }
-    if (cursor != incoming.size()) {
-      throw std::logic_error(
-          "CollectiveBatch: rooted pack longer than the directory");
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Rooted broadcast: each root publishes its segments to every rank in one
-// round (direct sends). Replaces one binomial bcast per winning categorical
+// Rooted broadcast: each root publishes its pack to every rank in one round
+// (direct sends). Replaces one binomial bcast per winning categorical
 // attribute with a single round carrying all value->child mappings.
 // ---------------------------------------------------------------------------
 
 void CollectiveBatch::bcast_rooted() {
   if (segments_.empty()) return;
+  require(true, "bcast_rooted");
+  fill();
   Comm::OpScope scope(comm_, CommOp::kBroadcast);
   const int p = comm_.size();
   const int r = comm_.rank();
   if (p == 1) return;
   const std::int64_t tag = comm_.next_collective_tag();
 
-  if (owns_any(r)) {
-    pack_rooted(r);
+  const Pack& own = packs_[static_cast<std::size_t>(r)];
+  if (own.segments > 0) {
     for (int dst = 0; dst < p; ++dst) {
       if (dst == r) continue;
-      comm_.send<std::byte>(dst, tag, std::span<const std::byte>(pack_));
+      comm_.send<std::byte>(dst, tag, std::span<const std::byte>(own.bytes));
     }
   }
   for (int src = 0; src < p; ++src) {
-    if (src == r || !owns_any(src)) continue;
-    const std::vector<std::byte> incoming = comm_.recv<std::byte>(src, tag);
-    std::size_t cursor = 0;
-    for (const Segment& seg : segments_) {
-      if (seg.root != src) continue;
-      if (cursor + seg.bytes > incoming.size()) {
-        throw std::logic_error(
-            "CollectiveBatch: rooted pack shorter than the directory");
-      }
-      if (seg.bytes > 0) {
-        std::memcpy(buffer_.data() + seg.offset, incoming.data() + cursor,
-                    seg.bytes);
-      }
-      cursor += seg.bytes;
-    }
-    if (cursor != incoming.size()) {
+    Pack& pack = packs_[static_cast<std::size_t>(src)];
+    if (src == r || pack.segments == 0) continue;
+    pack.bytes = comm_.recv<std::byte>(src, tag);
+    if (pack.bytes.size() != pack.size) {
       throw std::logic_error(
-          "CollectiveBatch: rooted pack longer than the directory");
+          "CollectiveBatch: rooted pack differs in size from the directory");
     }
   }
 }

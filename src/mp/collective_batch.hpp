@@ -7,25 +7,38 @@
 // latency term of the cost model scales with the number of attributes
 // instead of the tree depth. A CollectiveBatch restores the per-*level*
 // communication structure the paper argues for (§3): every contribution is
-// appended to a packed byte buffer with an offset directory, and the whole
+// a segment of a packed byte buffer with an offset directory, and the whole
 // buffer moves through ONE collective whose combine step dispatches
 // per-segment (each segment remembers its element type's combine functor).
+//
+// A directory holds one of two kinds of segment, which decides where the
+// bytes live:
+//   flat     (no root)  one packed buffer, every segment start padded to a
+//                       max_align_t boundary; exscan() and allreduce() move
+//                       the whole buffer
+//   rooted   (a root)   one pack per root rank: this rank's contributions to
+//                       that root's segments back to back in directory order,
+//                       byte for byte the message the root receives
 //
 // Supported rounds (all SPMD: every rank must add identical directories —
 // same segment order, element types, sizes and roots — then call the same
 // round):
-//   exscan()         distance doubling over the packed buffer; every
+//   exscan()         flat; distance doubling over the packed buffer; every
 //                    segment receives its element-wise exclusive prefix
-//   allreduce()      binomial reduce to rank 0 + binomial broadcast
-//   reduce_rooted()  each segment is reduced to its own root rank by a
-//                    direct exchange (every rank sends one packed message
-//                    per distinct root); only the root's view is defined
-//   bcast_rooted()   each segment is published by its root to all ranks
+//   allreduce()      flat; binomial reduce to rank 0 + binomial broadcast
+//   reduce_rooted()  rooted; each pack is moved to its root, which combines
+//                    the p-1 incoming packs into its own in place and keeps
+//                    each as its send buffer for that peer in the next
+//                    round; only the root's view is defined
+//   bcast_rooted()   rooted; each root sends its pack to every rank
 //
-// Segments may be empty. reset() clears the directory but keeps buffer
-// capacity so a batch can be reused across tree levels without
-// reallocating. Combine functors must be stateless (empty class) so they
-// can be re-instantiated inside the type-erased dispatch thunk.
+// Segments are filled either by copy (add) or in place (place, then
+// segment()); storage is sized once for all segments placed since the last
+// fill. Segments may be empty. reset() clears the directory but keeps every
+// buffer's capacity, so a batch reused across tree levels stops allocating
+// once the levels stop growing. Combine functors must be stateless (empty
+// class) so they can be re-instantiated inside the type-erased dispatch
+// thunk.
 #pragma once
 
 #include <cstddef>
@@ -41,47 +54,81 @@ namespace scalparc::mp {
 
 class CollectiveBatch {
  public:
-  explicit CollectiveBatch(Comm& comm) : comm_(comm) {}
+  // The root of a flat segment.
+  static constexpr int kFlat = -1;
+
+  explicit CollectiveBatch(Comm& comm);
 
   CollectiveBatch(const CollectiveBatch&) = delete;
   CollectiveBatch& operator=(const CollectiveBatch&) = delete;
 
-  // Appends `local` as a new segment; returns its id (position in the
-  // directory). `identity` seeds the exclusive prefix of exscan(); `root`
-  // names the owning rank for reduce_rooted()/bcast_rooted() and is ignored
-  // by exscan()/allreduce().
+  // Appends a segment of `n` elements, filled with `identity` until the
+  // caller writes it through segment(); returns its id (position in the
+  // directory). `identity` also seeds the exclusive prefix of exscan().
+  // `root` names the owning rank of a rooted segment, kFlat a flat one.
   template <WireType T, typename Combine>
-  std::size_t add(std::span<const T> local, Combine, const T& identity = T{},
-                  int root = 0) {
+  std::size_t place(std::size_t n, Combine, const T& identity = T{},
+                    int root = kFlat) {
     static_assert(std::is_empty_v<Combine> &&
                       std::is_default_constructible_v<Combine>,
                   "CollectiveBatch combine functors must be stateless");
     static_assert(sizeof(T) <= kMaxElemSize,
                   "CollectiveBatch element type too large");
-    if (root < 0 || root >= comm_.size()) {
-      throw std::invalid_argument("CollectiveBatch::add: bad root");
+    if (root < kFlat || root >= comm_.size()) {
+      throw std::invalid_argument("CollectiveBatch: bad root");
     }
+    if (reduced_) {
+      throw std::logic_error(
+          "CollectiveBatch: reset() before adding to a reduced directory");
+    }
+    const bool rooted = root != kFlat;
+    if (!segments_.empty() && rooted != rooted_) {
+      throw std::logic_error(
+          "CollectiveBatch: a directory holds flat or rooted segments, not "
+          "both");
+    }
+    rooted_ = rooted;
     Segment seg;
-    // Pad every segment start to a max_align_t boundary so typed views of
-    // the packed buffer are always aligned.
-    seg.offset = aligned_size(buffer_.size());
-    seg.bytes = local.size_bytes();
+    seg.bytes = n * sizeof(T);
     seg.elem_size = sizeof(T);
     seg.root = root;
     seg.combine = &combine_thunk<T, Combine>;
     std::memcpy(seg.identity, &identity, sizeof(T));
-    buffer_.resize(seg.offset);  // zeroes only the alignment padding
-    if (seg.bytes > 0) {
-      const auto* bytes = reinterpret_cast<const std::byte*>(local.data());
-      buffer_.insert(buffer_.end(), bytes, bytes + seg.bytes);
+    if (rooted) {
+      // Packs carry no padding (their bytes are the wire bytes), so a
+      // typed view needs the segment to start aligned by itself.
+      Pack& pack = packs_[static_cast<std::size_t>(root)];
+      seg.offset = pack.size;
+      if (seg.offset % alignof(T) != 0) {
+        throw std::logic_error(
+            "CollectiveBatch: rooted segment would start misaligned in its "
+            "pack");
+      }
+      pack.size += seg.bytes;
+      ++pack.segments;
+    } else {
+      seg.offset = aligned_size(packed_bytes_);
     }
+    packed_bytes_ = aligned_size(packed_bytes_) + seg.bytes;
     segments_.push_back(seg);
     return segments_.size() - 1;
   }
 
+  // place() plus a copy of `local` into the new segment.
+  template <WireType T, typename Combine>
+  std::size_t add(std::span<const T> local, Combine combine,
+                  const T& identity = T{}, int root = kFlat) {
+    const std::size_t id = place<T>(local.size(), combine, identity, root);
+    if (!local.empty()) {
+      std::memcpy(segment<T>(id).data(), local.data(), local.size_bytes());
+    }
+    return id;
+  }
+
   std::size_t num_segments() const { return segments_.size(); }
-  // Total packed payload bytes (one collective moves all of it at once).
-  std::size_t packed_bytes() const { return buffer_.size(); }
+  // Payload bytes of the directory as one packed buffer, segment starts
+  // padded to max_align_t, whichever kind it holds.
+  std::size_t packed_bytes() const { return packed_bytes_; }
 
   // --- rounds (each is one collective operation in mp::Stats) -------------
   void exscan();
@@ -89,30 +136,28 @@ class CollectiveBatch {
   void reduce_rooted();
   void bcast_rooted();
 
-  // Typed view of a segment's current contents (the result after a round).
-  // After reduce_rooted() only the segment's root holds the reduced value.
+  // Writable view of a segment, to fill it in place before a round. Valid
+  // until the next place(), add(), round or reset().
   template <WireType T>
-  std::span<const T> view(std::size_t segment) const {
-    const Segment& seg = segments_.at(segment);
-    if (seg.elem_size != sizeof(T)) {
-      throw std::invalid_argument("CollectiveBatch::view: element size mismatch");
-    }
-    return {reinterpret_cast<const T*>(buffer_.data() + seg.offset),
+  std::span<T> segment(std::size_t id) {
+    fill();
+    const Segment& seg = defined<T>(id);
+    return {reinterpret_cast<T*>(storage(seg) + seg.offset),
             seg.bytes / sizeof(T)};
   }
 
-  // Copies a segment's contents out (survives reset()).
+  // Typed view of a segment's current contents (the result after a round).
+  // After reduce_rooted() only the segments rooted at this rank are defined.
   template <WireType T>
-  std::vector<T> take(std::size_t segment) const {
-    const std::span<const T> v = view<T>(segment);
-    return std::vector<T>(v.begin(), v.end());
+  std::span<const T> view(std::size_t id) const {
+    const Segment& seg = defined<T>(id);
+    return {reinterpret_cast<const T*>(storage(seg) + seg.offset),
+            seg.bytes / sizeof(T)};
   }
 
-  // Clears the directory for the next round, keeping buffer capacity.
-  void reset() {
-    segments_.clear();
-    buffer_.clear();
-  }
+  // Clears the directory for the next round, keeping every buffer's
+  // capacity.
+  void reset();
 
  private:
   static constexpr std::size_t kMaxElemSize = 64;
@@ -140,12 +185,22 @@ class CollectiveBatch {
   }
 
   struct Segment {
-    std::size_t offset = 0;
+    std::size_t offset = 0;  // in the flat buffer or in its root's pack
     std::size_t bytes = 0;
     std::size_t elem_size = 0;
-    int root = 0;
+    int root = kFlat;
     CombineFn combine = nullptr;
     std::byte identity[kMaxElemSize] = {};
+  };
+
+  // One root's pack. `bytes` outlives the directory: after a rooted reduce
+  // it holds the pack received from that peer, recycled as the next send
+  // buffer to it.
+  struct Pack {
+    std::vector<std::byte> bytes;
+    std::size_t size = 0;      // declared by the directory
+    std::size_t filled = 0;    // prefix that has storage
+    std::size_t segments = 0;  // segments rooted here (a pack may be empty)
   };
 
   static std::size_t aligned_size(std::size_t n) {
@@ -153,19 +208,46 @@ class CollectiveBatch {
     return (n + a - 1) / a * a;
   }
 
+  template <WireType T>
+  const Segment& defined(std::size_t id) const {
+    const Segment& seg = segments_.at(id);
+    if (seg.elem_size != sizeof(T)) {
+      throw std::invalid_argument(
+          "CollectiveBatch: segment element size mismatch");
+    }
+    check_defined(seg, id);
+    return seg;
+  }
+  void check_defined(const Segment& seg, std::size_t id) const;
+  std::byte* storage(const Segment& seg) {
+    return seg.root == kFlat
+               ? buffer_.data()
+               : packs_[static_cast<std::size_t>(seg.root)].bytes.data();
+  }
+  const std::byte* storage(const Segment& seg) const {
+    return seg.root == kFlat
+               ? buffer_.data()
+               : packs_[static_cast<std::size_t>(seg.root)].bytes.data();
+  }
+
+  // Gives every segment placed since the last call its storage, each buffer
+  // sized once, and fills it with the segment's identity.
+  void fill();
+  static void fill_identity(std::byte* dst, const Segment& seg);
+  void require(bool rooted, const char* round) const;
   // Folds `incoming` (a peer's packed buffer, identical layout) into `dst`.
   void combine_all(std::byte* dst, std::span<const std::byte> incoming,
                    bool incoming_left) const;
-  // Packs the segments owned by `root` into `pack_` (directory order),
-  // sized once from the directory.
-  void pack_rooted(int root);
-  bool owns_any(int root) const;
 
   Comm& comm_;
   std::vector<Segment> segments_;
-  std::vector<std::byte> buffer_;
+  bool rooted_ = false;            // kind of the current directory
+  bool reduced_ = false;           // reduce_rooted() ran on it
+  std::size_t packed_bytes_ = 0;   // see packed_bytes()
+  std::size_t filled_segments_ = 0;
+  std::vector<std::byte> buffer_;  // flat storage
+  std::vector<Pack> packs_;        // rooted storage, one per rank
   std::vector<std::byte> exclusive_;  // exscan scratch, reused across calls
-  std::vector<std::byte> pack_;       // rooted-round scratch
 };
 
 }  // namespace scalparc::mp

@@ -6,10 +6,15 @@
 // deadlock detector's view of a receiver that is checking a large frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <span>
 #include <thread>
 #include <vector>
@@ -21,6 +26,33 @@
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "util/random.hpp"
+
+// Every allocation of this test binary goes through these replacements, so
+// a test can count the large blocks each of its rank threads allocates.
+namespace {
+constexpr std::size_t kLargeAllocation = 4096;
+std::atomic<bool> g_counting{false};
+thread_local int t_counted_rank = -1;
+std::array<std::atomic<int>, 8> g_large_allocations{};
+}  // namespace
+
+// Out of line like the deletes below, so the compiler never pairs an
+// inlined malloc() with operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (size >= kLargeAllocation && t_counted_rank >= 0 &&
+      g_counting.load(std::memory_order_relaxed)) {
+    g_large_allocations[static_cast<std::size_t>(t_counted_rank)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace scalparc {
 namespace {
@@ -325,8 +357,8 @@ TEST(CollectiveBatch, OneCallPerRoundInStats) {
     mp::CollectiveBatch batch(comm);
     const std::vector<std::int64_t> data(8, 1);
     for (int s = 0; s < 10; ++s) {
-      batch.add<std::int64_t>(std::span<const std::int64_t>(data), mp::SumOp{},
-                              std::int64_t{0}, s % comm.size());
+      batch.add<std::int64_t>(std::span<const std::int64_t>(data),
+                              mp::SumOp{});
     }
     batch.exscan();
   });
@@ -352,6 +384,150 @@ TEST(CollectiveBatch, ViewRejectsElementSizeMismatch) {
     const std::size_t id = batch.add<std::int64_t>(
         std::span<const std::int64_t>(data), mp::SumOp{});
     EXPECT_THROW((void)batch.view<std::int32_t>(id), std::invalid_argument);
+  });
+}
+
+// Two rooted reduces of one directory at p = 3, rank 2 owning no segment,
+// each rank filling its packs in place. A received pack stays behind as the
+// send buffer for that peer, so the owners' second round allocates nothing
+// of pack size. Rank 2 receives no pack back and allocates exactly its two
+// send packs again. Every root's result equals a serial sum/min oracle, and
+// each message carries exactly the bytes of its root's segments.
+TEST(CollectiveBatch, RootedReduceRecyclesItsPacks) {
+  constexpr int kRanks = 3;
+  struct Spec {
+    int root;
+    bool minimum;  // double minima, else int64 sums
+    std::size_t n;
+  };
+  // Uneven packs (root 0: 36,000 bytes, root 1: 28,000) and an empty
+  // segment.
+  const std::vector<Spec> specs = {{0, false, 3000}, {0, true, 1000},
+                                   {1, false, 2500}, {1, true, 1000},
+                                   {1, false, 0},    {0, false, 500}};
+  std::array<std::uint64_t, kRanks> pack_bytes{};
+  for (const Spec& spec : specs) {
+    pack_bytes[static_cast<std::size_t>(spec.root)] += spec.n * 8;
+  }
+  const auto sum_value = [](int round, int rank, std::size_t s,
+                            std::size_t i) {
+    return static_cast<std::int64_t>((i * 7919 + s * 131 +
+                                      static_cast<std::size_t>(rank) * 17 +
+                                      static_cast<std::size_t>(round) * 5) %
+                                     2001) -
+           1000;
+  };
+  const auto min_value = [](int round, int rank, std::size_t s,
+                            std::size_t i) {
+    return static_cast<double>((i * 104729 + s * 37 +
+                                static_cast<std::size_t>(rank) * 7919 +
+                                static_cast<std::size_t>(round) * 3) %
+                               9973) *
+           0.5;
+  };
+  for (auto& count : g_large_allocations) count.store(0);
+
+  mp::run_ranks(kRanks, kZero, [&](mp::Comm& comm) {
+    const int r = comm.rank();
+    mp::CollectiveBatch batch(comm);
+    std::vector<std::size_t> ids(specs.size());
+    const auto round = [&](int round) {
+      batch.reset();
+      for (std::size_t s = 0; s < specs.size(); ++s) {
+        ids[s] = specs[s].minimum
+                     ? batch.place<double>(
+                           specs[s].n, mp::MinOp{},
+                           std::numeric_limits<double>::infinity(),
+                           specs[s].root)
+                     : batch.place<std::int64_t>(specs[s].n, mp::SumOp{},
+                                                 std::int64_t{0},
+                                                 specs[s].root);
+      }
+      for (std::size_t s = 0; s < specs.size(); ++s) {
+        if (specs[s].minimum) {
+          const std::span<double> seg = batch.segment<double>(ids[s]);
+          for (std::size_t i = 0; i < seg.size(); ++i) {
+            seg[i] = min_value(round, r, s, i);
+          }
+        } else {
+          const std::span<std::int64_t> seg =
+              batch.segment<std::int64_t>(ids[s]);
+          for (std::size_t i = 0; i < seg.size(); ++i) {
+            seg[i] = sum_value(round, r, s, i);
+          }
+        }
+      }
+      batch.reduce_rooted();
+    };
+    const auto check = [&](int round) {
+      for (std::size_t s = 0; s < specs.size(); ++s) {
+        if (specs[s].root != r) continue;
+        for (std::size_t i = 0; i < specs[s].n; ++i) {
+          if (specs[s].minimum) {
+            double expected = std::numeric_limits<double>::infinity();
+            for (int q = 0; q < kRanks; ++q) {
+              expected = std::min(expected, min_value(round, q, s, i));
+            }
+            ASSERT_EQ(batch.view<double>(ids[s])[i], expected)
+                << "round " << round << " seg " << s << " element " << i;
+          } else {
+            std::int64_t expected = 0;
+            for (int q = 0; q < kRanks; ++q) {
+              expected += sum_value(round, q, s, i);
+            }
+            ASSERT_EQ(batch.view<std::int64_t>(ids[s])[i], expected)
+                << "round " << round << " seg " << s << " element " << i;
+          }
+        }
+      }
+    };
+    round(0);
+    check(0);
+    mp::barrier(comm);
+    t_counted_rank = r;
+    if (comm.is_root()) g_counting.store(true);
+    mp::barrier(comm);
+    const mp::CommStats before = comm.stats();
+    round(1);
+    const mp::CommStats after = comm.stats();
+    mp::barrier(comm);
+    if (comm.is_root()) g_counting.store(false);
+    t_counted_rank = -1;
+    check(1);
+
+    std::uint64_t sent = 0;
+    std::uint64_t messages = 0;
+    for (int q = 0; q < kRanks; ++q) {
+      if (q == r || pack_bytes[static_cast<std::size_t>(q)] == 0) continue;
+      sent += pack_bytes[static_cast<std::size_t>(q)];
+      ++messages;
+    }
+    const std::uint64_t own = pack_bytes[static_cast<std::size_t>(r)];
+    EXPECT_EQ(after.bytes_sent - before.bytes_sent, sent) << "rank " << r;
+    EXPECT_EQ(after.messages_sent - before.messages_sent, messages)
+        << "rank " << r;
+    EXPECT_EQ(after.bytes_received - before.bytes_received,
+              own > 0 ? (kRanks - 1) * own : 0)
+        << "rank " << r;
+    EXPECT_EQ(after.messages_received - before.messages_received,
+              own > 0 ? std::uint64_t{kRanks - 1} : 0)
+        << "rank " << r;
+  });
+  EXPECT_EQ(g_large_allocations[0].load(), 0);
+  EXPECT_EQ(g_large_allocations[1].load(), 0);
+  EXPECT_EQ(g_large_allocations[2].load(), 2);
+}
+
+TEST(CollectiveBatch, RoundsRejectTheOtherKindOfDirectory) {
+  mp::run_ranks(2, kZero, [](mp::Comm& comm) {
+    mp::CollectiveBatch batch(comm);
+    batch.place<std::int64_t>(4, mp::SumOp{});
+    EXPECT_THROW(batch.place<std::int64_t>(4, mp::SumOp{}, std::int64_t{0}, 1),
+                 std::logic_error);
+    EXPECT_THROW(batch.reduce_rooted(), std::logic_error);
+    batch.reset();
+    batch.place<std::int64_t>(4, mp::SumOp{}, std::int64_t{0}, 1);
+    EXPECT_THROW(batch.allreduce(), std::logic_error);
   });
 }
 

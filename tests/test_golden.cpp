@@ -55,9 +55,9 @@ using data::Schema;
 const mp::CostModel kZero = mp::CostModel::zero();
 const fs::path kGoldenDir = SCALPARC_GOLDEN_DIR;
 
-// The committed trees were written at p = 2; exact and histogram trees are
-// processor-count invariant, so every other count must reproduce them byte
-// for byte.
+// The committed trees were written at p = 2 (a per-rank fixture's at each
+// of its check counts); exact and histogram trees are processor-count
+// invariant, so every other count must reproduce them byte for byte.
 constexpr int kWriterRanks = 2;
 
 // The fixture whose checkpoint files are digested: both list kinds, nine
@@ -86,6 +86,9 @@ struct Fixture {
   // Processor counts the tree is refitted and compared at. Voting mode
   // promises determinism only at a fixed p, so its fixtures check p = 2.
   std::vector<int> check_ranks = {1, 3, 4};
+  // A tree that depends on p (voting mode) is committed once per check
+  // count, as <tree>_p<p>.tree, each written at its own p.
+  bool tree_per_rank = false;
   // Cross-mode resume: a p = 2 fit under these controls checkpoints every
   // level up to kResumeLevel, and `controls` (the other split mode) resumes
   // from it.
@@ -236,6 +239,15 @@ std::vector<Fixture> fixtures() {
     c.options.top_k = 2;
   });
   out.back().check_ranks = {kWriterRanks};
+  // Uneven owner chunks: at p = 3 and 5 the top levels have fewer elected
+  // nodes than ranks, so some ranks own no chunk of a list.
+  add("quest_f2_mixed_voting", f2, [](InductionControls& c) {
+    c = histogram_controls();
+    c.options.split_mode = core::SplitMode::kVoting;
+    c.options.top_k = 1;
+  });
+  out.back().check_ranks = {3, 5};
+  out.back().tree_per_rank = true;
 
   // Resumes across split modes.
   add("resume_exact_as_histogram", f2, histogram);
@@ -258,8 +270,12 @@ std::string read_file(const fs::path& path) {
   return buffer.str();
 }
 
-fs::path tree_file(const Fixture& fixture) {
-  return kGoldenDir / (fixture.tree + ".tree");
+// The committed tree `fixture` is compared with at p ranks.
+fs::path tree_file(const Fixture& fixture, int p) {
+  return kGoldenDir /
+         (fixture.tree_per_rank
+              ? fixture.tree + "_p" + std::to_string(p) + ".tree"
+              : fixture.tree + ".tree");
 }
 
 struct TempDir {
@@ -346,13 +362,13 @@ std::string checkpoint_digests(const Fixture& fixture) {
 
 TEST(GoldenCorpus, TreesMatchCommittedFilesAtEveryRankCount) {
   for (const Fixture& fixture : fixtures()) {
-    const std::string expected = read_file(tree_file(fixture));
-    ASSERT_FALSE(expected.empty()) << tree_file(fixture) << " is missing";
     TempDir checkpoint;
     if (fixture.checkpoint_from) {
       write_resume_checkpoint(fixture, checkpoint.path);
     }
     for (const int p : fixture.check_ranks) {
+      const std::string expected = read_file(tree_file(fixture, p));
+      ASSERT_FALSE(expected.empty()) << tree_file(fixture, p) << " is missing";
       EXPECT_EQ(tree_bytes(fit_fixture(fixture, p, checkpoint.path)), expected)
           << fixture.name << " p=" << p;
     }
@@ -380,9 +396,14 @@ TEST(GoldenCorpus, DISABLED_WriteCorpus) {
     if (fixture.checkpoint_from) {
       write_resume_checkpoint(fixture, checkpoint.path);
     }
-    std::ofstream out(tree_file(fixture), std::ios::binary);
-    out << tree_bytes(fit_fixture(fixture, kWriterRanks, checkpoint.path));
-    ASSERT_TRUE(out.good()) << tree_file(fixture);
+    const std::vector<int> writers =
+        fixture.tree_per_rank ? fixture.check_ranks
+                              : std::vector<int>{kWriterRanks};
+    for (const int p : writers) {
+      std::ofstream out(tree_file(fixture, p), std::ios::binary);
+      out << tree_bytes(fit_fixture(fixture, p, checkpoint.path));
+      ASSERT_TRUE(out.good()) << tree_file(fixture, p);
+    }
   }
   for (const auto& [name, file] : kDigests) {
     std::ofstream out(kGoldenDir / file, std::ios::binary);

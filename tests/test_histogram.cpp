@@ -256,7 +256,9 @@ TEST(HistogramInduction, TreeIdenticalForAllProcessorCounts) {
   EXPECT_EQ(reference.stats.split_mode, SplitMode::kHistogram);
   check_tree_invariants(reference.tree);
   const std::string expected = tree_bytes(reference.tree);
-  for (const int p : {2, 4, 8}) {
+  // p = 3 and 5 leave uneven owner chunks; at the top levels, with fewer
+  // nodes than ranks, some ranks own no chunk and receive no pack.
+  for (const int p : {2, 3, 4, 5, 8}) {
     EXPECT_EQ(tree_bytes(ScalParC::fit(training, p, controls, kZero).tree),
               expected)
         << "p=" << p;
