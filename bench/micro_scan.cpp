@@ -1,28 +1,20 @@
-// Per-record compute kernels in isolation: scan layout x impurity kernel,
-// and the owner-side hash table.
+// The FindSplitI scan kernel in isolation: scan layout x impurity kernel.
 //
 // Everything this bench measures is wall-clock (Stopwatch), not modeled
-// vtime: the point of the SoA layout, the incremental gini kernel, and the
-// flat prefetched table is what the *hardware* does per record, which the
-// cost model deliberately abstracts away.
+// vtime: the point of the SoA layout and the incremental gini kernel is what
+// the *hardware* does per record, which the cost model deliberately
+// abstracts away.
 //
-//   part 1 — gini scan: the same sorted continuous attribute list is scanned
-//            with (a) the AoS entry walk + O(classes) recompute scanner (the
-//            differential oracle) and (b) the SoA columnar kernel + O(1)
-//            incremental scanner. Both at p = 1..16 simulated ranks, each
-//            rank scanning its FindSplitI fragment, the two layouts
-//            alternating inside every rep. Records/second (best of the
-//            reps), plus the SoA/AoS speedup the tentpole claims: the median
-//            over reps of each rep's paired AoS/SoA time ratio.
-//   part 2 — hash probes: update + enquire the same key set through the
-//            flat open-addressing table with probe-group prefetching.
-//            Probes/second, tracked against this bench's own trajectory.
-//            Documents that also carry chained_* and flat_speedup fields
-//            (from a chained table no longer in the tree) still validate.
+// The same sorted continuous attribute list is scanned with (a) the AoS
+// entry walk + O(classes) recompute scanner (the differential oracle) and
+// (b) the SoA columnar kernel + O(1) incremental scanner. Both at p = 1..16
+// simulated ranks, each rank scanning its FindSplitI fragment, the two
+// layouts alternating inside every rep. Records/second (best of the reps),
+// plus the SoA/AoS speedup the tentpole claims: the median over reps of each
+// rep's paired AoS/SoA time ratio.
 //
-//   ./micro_scan [--records N] [--run L] [--procs 1,2,4,8,16] [--keys K]
-//                [--table-procs 1,4] [--reps R] [--seed S]
-//                [--min-speedup X] [--out BENCH_compute.json]
+//   ./micro_scan [--records N] [--run L] [--procs 1,2,4,8,16] [--reps R]
+//                [--seed S] [--min-speedup X] [--out BENCH_compute.json]
 //                [--validate BENCH_compute.json] [--csv DIR]
 //
 // --out writes the machine-readable JSON document; --validate re-parses a
@@ -40,11 +32,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/flat_hash.hpp"
 #include "core/gini.hpp"
 #include "core/split_finder.hpp"
 #include "data/attribute_list.hpp"
-#include "mp/metrics.hpp"
+#include "mp/collectives.hpp"
+#include "mp/runtime.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 
@@ -61,15 +53,6 @@ struct ScanRow {
   double speedup = 0.0;
 };
 
-struct TableRow {
-  int procs = 0;
-  double flat_seconds = 0.0;
-  double flat_probes_per_s = 0.0;
-  // Metrics registry of the flat-table run (hash.probe_length histogram,
-  // hash.occupancy_pct, comm.*), embedded under "details" in the JSON.
-  Json details;
-};
-
 // Schema + claim validation; prints the first violation and returns false.
 bool validate(const Json& doc) {
   const auto complain = [](const std::string& why) {
@@ -82,7 +65,6 @@ bool validate(const Json& doc) {
       return complain("bench name is not 'micro_scan'");
     }
     if (doc.at("records").as_int() <= 0) return complain("records <= 0");
-    if (doc.at("keys").as_int() <= 0) return complain("keys <= 0");
     const double min_speedup = doc.at("min_speedup").as_double();
     if (!(min_speedup > 0.0)) return complain("min_speedup <= 0");
     const auto& scan_runs = doc.at("scan_runs").as_array();
@@ -112,26 +94,6 @@ bool validate(const Json& doc) {
       has_p1 = has_p1 || procs == 1;
     }
     if (!has_p1) return complain("no scan run at p=1");
-    const auto& table_runs = doc.at("table_runs").as_array();
-    if (table_runs.empty()) return complain("table_runs is empty");
-    for (const Json& run : table_runs) {
-      if (run.at("procs").as_int() <= 0) {
-        return complain("table run has procs <= 0");
-      }
-      if (!(run.at("flat_probes_per_s").as_double() > 0.0)) {
-        return complain("table run has non-positive throughput");
-      }
-      // details.metrics must decode as a registry snapshot with the flat
-      // table's probe telemetry present.
-      const Json* details = run.find("details");
-      if (details != nullptr) {
-        const scalparc::mp::MetricsSnapshot snapshot =
-            scalparc::mp::MetricsSnapshot::from_json(details->at("metrics"));
-        if (snapshot.value("hash.lookups") <= 0.0) {
-          return complain("details.metrics lacks hash.lookups");
-        }
-      }
-    }
   } catch (const std::exception& e) {
     return complain(e.what());
   }
@@ -162,9 +124,6 @@ int main(int argc, char** argv) {
   const auto run_length = static_cast<std::size_t>(args.get_int("run", 16));
   const std::vector<std::int64_t> procs =
       args.get_int_list("procs", {1, 2, 4, 8, 16});
-  const auto keys = static_cast<std::uint64_t>(args.get_int("keys", 1000000));
-  const std::vector<std::int64_t> table_procs =
-      args.get_int_list("table-procs", {1, 4});
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double min_speedup = args.get_double("min-speedup", 1.5);
@@ -201,8 +160,6 @@ int main(int argc, char** argv) {
   // noise even at smoke scale.
   const int scan_iters =
       static_cast<int>(std::max<std::size_t>(1, 16000000 / records));
-  const int table_iters = static_cast<int>(
-      std::max<std::uint64_t>(1, 2000000 / (2 * std::max<std::uint64_t>(1, keys))));
 
   // Best-of-reps wall time of both layouts at p ranks: each rank scans its
   // contiguous FindSplitI fragment (below-histogram seeded from the prefix,
@@ -297,60 +254,13 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  // Best-of-reps wall time of the flat table at p ranks: every rank updates
-  // and enquires its strided share of the keys (scrambled so keys land on
-  // every owner), table_iters times. `details` receives the metrics
-  // registry.
-  double table_checksum = 0.0;
-  struct Payload {
-    std::int64_t payload = 0;
-  };
-  using Table = core::DistributedFlatHashTable<Payload>;
-  const auto time_table = [&](int p, Json& details) {
-    double best_seconds = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      std::vector<double> elapsed(static_cast<std::size_t>(p), 0.0);
-      std::vector<double> sinks(static_cast<std::size_t>(p), 0.0);
-      const mp::RunResult run = mp::run_ranks(p, model, [&](mp::Comm& comm) {
-        Table table(comm, keys);
-        std::vector<Table::Update> updates;
-        std::vector<std::int64_t> enquiry;
-        for (std::uint64_t k = static_cast<std::uint64_t>(comm.rank());
-             k < keys; k += static_cast<std::uint64_t>(comm.size())) {
-          const auto key = static_cast<std::int64_t>((k * 2654435761ULL) % keys);
-          updates.push_back({key, {static_cast<std::int64_t>(k)}});
-          enquiry.push_back(static_cast<std::int64_t>(k));
-        }
-        mp::barrier(comm);
-        util::Stopwatch timer;
-        double sink = 0.0;
-        for (int iter = 0; iter < table_iters; ++iter) {
-          table.update(updates);
-          const auto looked = table.enquire(enquiry);
-          for (std::size_t i = 0; i < looked.size(); i += 1024) {
-            sink += static_cast<double>(looked[i].value.payload);
-          }
-        }
-        const auto r = static_cast<std::size_t>(comm.rank());
-        elapsed[r] = timer.elapsed_seconds();
-        sinks[r] = sink;
-      });
-      const double rep_seconds = *std::max_element(elapsed.begin(), elapsed.end());
-      best_seconds = rep == 0 ? rep_seconds : std::min(best_seconds, rep_seconds);
-      for (const double s : sinks) table_checksum += s;
-      details = Json::object();
-      details["metrics"] = run.metrics.to_json();
-    }
-    return best_seconds;
-  };
-
-  // ---------------- part 1: scan kernels ------------------------------------
+  // ---------------- scan kernels --------------------------------------------
   bench::CsvWriter csv(args, "micro_scan.csv",
                        "part,procs,impl,seconds,throughput_per_s");
   const double scanned =
       static_cast<double>(records) * static_cast<double>(scan_iters);
   std::printf(
-      "part 1: gini scan, %zu records (~%zu-long runs), %d passes/timing\n\n",
+      "gini scan, %zu records (~%zu-long runs), %d passes/timing\n\n",
       records, run_length, scan_iters);
   std::printf("%6s %14s %14s %16s %16s %9s\n", "procs", "AoS(ms)", "SoA(ms)",
               "AoS rec/s", "SoA rec/s", "speedup");
@@ -374,34 +284,13 @@ int main(int argc, char** argv) {
     scan_rows.push_back(row);
   }
 
-  // ---------------- part 2: hash table probes -------------------------------
-  const double probed = 2.0 * static_cast<double>(keys) *
-                        static_cast<double>(table_iters);
-  std::printf(
-      "\npart 2: hash table, %llu keys updated + enquired, %d rounds/timing\n\n",
-      static_cast<unsigned long long>(keys), table_iters);
-  std::printf("%6s %14s %16s\n", "procs", "flat(ms)", "flat pr/s");
-  std::vector<TableRow> table_rows;
-  for (const std::int64_t p : table_procs) {
-    TableRow row;
-    row.procs = static_cast<int>(p);
-    row.flat_seconds = time_table(row.procs, row.details);
-    row.flat_probes_per_s = probed / row.flat_seconds;
-    std::printf("%6d %14.3f %16.3e\n", row.procs, row.flat_seconds * 1e3,
-                row.flat_probes_per_s);
-    csv.row("table,%d,flat,%.6f,%.1f", row.procs, row.flat_seconds,
-            row.flat_probes_per_s);
-    table_rows.push_back(row);
-  }
-  std::printf("\n(checksums %.3g / %.3g keep the kernels honest)\n",
-              scan_checksum, table_checksum);
+  std::printf("\n(checksum %.3g keeps the kernels honest)\n", scan_checksum);
 
   // ---------------- JSON document ------------------------------------------
   Json doc = Json::object();
   doc["bench"] = "micro_scan";
   doc["records"] = static_cast<std::int64_t>(records);
   doc["run_length"] = static_cast<std::int64_t>(run_length);
-  doc["keys"] = static_cast<std::int64_t>(keys);
   doc["reps"] = reps;
   doc["seed"] = seed;
   doc["min_speedup"] = min_speedup;
@@ -417,16 +306,6 @@ int main(int argc, char** argv) {
     scan_runs.push_back(std::move(run));
   }
   doc["scan_runs"] = std::move(scan_runs);
-  Json table_runs = Json::array();
-  for (const TableRow& row : table_rows) {
-    Json run = Json::object();
-    run["procs"] = row.procs;
-    run["flat_seconds"] = row.flat_seconds;
-    run["flat_probes_per_s"] = row.flat_probes_per_s;
-    run["details"] = row.details;
-    table_runs.push_back(std::move(run));
-  }
-  doc["table_runs"] = std::move(table_runs);
 
   if (!out_path.empty()) {
     std::ofstream out(out_path);

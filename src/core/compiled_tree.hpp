@@ -29,8 +29,8 @@
 //
 // (categorical nodes index their arena table instead). After `depth()`
 // sweeps every row sits on a leaf and the labels are gathered in one pass —
-// the same linear-scan / no-pointer-chase techniques as `core/flat_hash`
-// and the gini scan kernel. Results are row-for-row identical to
+// the same linear-scan / no-pointer-chase technique as the gini scan
+// kernel. Results are row-for-row identical to
 // `DecisionTree::predict`, including the unseen-categorical fallback;
 // tests/test_predict.cpp keeps the recursive walk as the differential
 // oracle.

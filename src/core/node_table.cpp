@@ -23,8 +23,8 @@ void NodeTable::update(std::span<const std::int64_t> rids,
   table_.update(
       rids.size(),
       [rids, children, epoch](std::size_t i) {
-        return HashUpdate<NodeTableEntry>{rids[i],
-                                          NodeTableEntry{children[i], epoch}};
+        return DistributedHashTable<NodeTableEntry>::Update{
+            rids[i], NodeTableEntry{children[i], epoch}};
       },
       block_limit);
 }

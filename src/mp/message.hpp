@@ -5,9 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
-#include <typeinfo>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace scalparc::mp {
@@ -27,10 +27,17 @@ namespace scalparc::mp {
 class Payload {
  public:
   Payload() = default;
-  Payload(Payload&&) = default;
-  Payload& operator=(Payload&&) = default;
+  Payload(Payload&& other) noexcept { steal(other); }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
   Payload(const Payload&) = delete;
   Payload& operator=(const Payload&) = delete;
+  ~Payload() { release(); }
 
   // Takes ownership of `values`; no bytes are copied.
   template <typename T>
@@ -38,11 +45,10 @@ class Payload {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Payload elements must be trivially copyable");
     Payload p;
-    auto held = std::make_shared<std::vector<T>>(std::move(values));
-    p.data_ = reinterpret_cast<std::byte*>(held->data());
-    p.size_ = held->size() * sizeof(T);
-    p.type_ = &typeid(T);
-    p.owner_ = std::move(held);
+    auto* held = new Held<T>(std::move(values));
+    p.buffer_ = held;
+    p.data_ = reinterpret_cast<std::byte*>(held->values.data());
+    p.size_ = held->values.size() * sizeof(T);
     return p;
   }
 
@@ -54,10 +60,14 @@ class Payload {
   // A second handle on the same buffer; no bytes are copied.
   Payload share() const {
     Payload p;
-    p.owner_ = owner_;
+    if (buffer_ != nullptr) {
+      // A handle is only ever made from a live one, so counting it needs no
+      // ordering.
+      buffer_->handles.fetch_add(1, std::memory_order_relaxed);
+    }
+    p.buffer_ = buffer_;
     p.data_ = data_;
     p.size_ = size_;
-    p.type_ = type_;
     return p;
   }
 
@@ -68,7 +78,7 @@ class Payload {
   // shared buffer is copied first, so the write never reaches another
   // handle (the reliability layer's clean frame).
   std::span<std::byte> mutable_bytes() {
-    if (owner_ && !sole_owner()) *this = copy_of(bytes());
+    if (buffer_ != nullptr && !sole_owner()) *this = copy_of(bytes());
     return {data_, size_};
   }
 
@@ -80,33 +90,59 @@ class Payload {
   template <typename T>
   std::vector<T> take() {
     std::vector<T> out;
-    if (owner_ && type_ != nullptr && *type_ == typeid(T) && sole_owner()) {
-      out = std::move(*static_cast<std::vector<T>*>(owner_.get()));
+    auto* held = dynamic_cast<Held<T>*>(buffer_);
+    if (held != nullptr && sole_owner()) {
+      out = std::move(held->values);
     } else {
       out.resize(size_ / sizeof(T));
       if (!out.empty()) std::memcpy(out.data(), data_, out.size() * sizeof(T));
     }
-    owner_.reset();
-    data_ = nullptr;
-    size_ = 0;
-    type_ = nullptr;
+    release();
     return out;
   }
 
  private:
-  // True if no other handle shares the buffer. use_count() is a relaxed
-  // read; the acquire fence orders this handle's next writes after every
-  // access a released handle made on another thread.
+  // An adopted vector and the number of handles on it. A handle is released
+  // with release order and sole_owner() reads the count with acquire order,
+  // so a handle that finds itself alone is ordered after every access that
+  // a released handle made on another thread.
+  struct Buffer {
+    Buffer() = default;
+    Buffer(const Buffer&) = delete;
+    Buffer& operator=(const Buffer&) = delete;
+    virtual ~Buffer() = default;
+    std::atomic<std::size_t> handles{1};
+  };
+  template <typename T>
+  struct Held final : Buffer {
+    explicit Held(std::vector<T>&& adopted) : values(std::move(adopted)) {}
+    std::vector<T> values;
+  };
+
   bool sole_owner() const {
-    if (owner_.use_count() != 1) return false;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return true;
+    return buffer_->handles.load(std::memory_order_acquire) == 1;
   }
 
-  std::shared_ptr<void> owner_;
+  void steal(Payload& other) noexcept {
+    buffer_ = std::exchange(other.buffer_, nullptr);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+
+  // Drops this handle; the last one frees the buffer.
+  void release() noexcept {
+    if (buffer_ != nullptr &&
+        buffer_->handles.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete buffer_;
+    }
+    buffer_ = nullptr;
+    data_ = nullptr;
+    size_ = 0;
+  }
+
+  Buffer* buffer_ = nullptr;
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
-  const std::type_info* type_ = nullptr;
 };
 
 struct Message {

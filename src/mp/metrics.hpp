@@ -5,15 +5,15 @@
 // each needed bespoke aggregation and printing. A MetricsSnapshot is the
 // common currency: a name -> Metric map with three kinds —
 //
-//   counter    merge by sum       (bytes sent, retransmits, hash probes)
-//   gauge      merge by max       (peak memory, phase seconds, occupancy)
-//   histogram  merge bucket-wise  (message sizes, probe lengths; fixed
+//   counter    merge by sum       (bytes sent, retransmits, enquiries)
+//   gauge      merge by max       (peak memory, phase seconds)
+//   histogram  merge bucket-wise  (message sizes, batch latencies; fixed
 //                                  log2 buckets so merging never re-bins)
 //
 // All three merges are associative and commutative, so per-rank snapshots
 // can be folded in any order (tests assert this). Naming convention is
 // dotted lowercase families: comm.*, transport.*, runtime.*, induction.*,
-// checkpoint.*, hash.*, nodetable.*, io.*, memory.* — see
+// checkpoint.*, nodetable.*, io.*, memory.* — see
 // docs/observability.md for the full catalog.
 //
 // Instrumented code reaches its rank's snapshot through the thread-local

@@ -8,17 +8,15 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "mp/collective_batch.hpp"
 #include "mp/collectives.hpp"
 #include "mp/comm.hpp"
@@ -26,33 +24,6 @@
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "util/random.hpp"
-
-// Every allocation of this test binary goes through these replacements, so
-// a test can count the large blocks each of its rank threads allocates.
-namespace {
-constexpr std::size_t kLargeAllocation = 4096;
-std::atomic<bool> g_counting{false};
-thread_local int t_counted_rank = -1;
-std::array<std::atomic<int>, 8> g_large_allocations{};
-}  // namespace
-
-// Out of line like the deletes below, so the compiler never pairs an
-// inlined malloc() with operator delete.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  if (size >= kLargeAllocation && t_counted_rank >= 0 &&
-      g_counting.load(std::memory_order_relaxed)) {
-    g_large_allocations[static_cast<std::size_t>(t_counted_rank)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* block) noexcept {
-  std::free(block);
-}
-[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
-  std::free(block);
-}
 
 namespace scalparc {
 namespace {
@@ -425,7 +396,7 @@ TEST(CollectiveBatch, RootedReduceRecyclesItsPacks) {
                                9973) *
            0.5;
   };
-  for (auto& count : g_large_allocations) count.store(0);
+  test::reset_allocation_counts();
 
   mp::run_ranks(kRanks, kZero, [&](mp::Comm& comm) {
     const int r = comm.rank();
@@ -484,15 +455,11 @@ TEST(CollectiveBatch, RootedReduceRecyclesItsPacks) {
     round(0);
     check(0);
     mp::barrier(comm);
-    t_counted_rank = r;
-    if (comm.is_root()) g_counting.store(true);
-    mp::barrier(comm);
+    test::start_counting_allocations(r);
     const mp::CommStats before = comm.stats();
     round(1);
     const mp::CommStats after = comm.stats();
-    mp::barrier(comm);
-    if (comm.is_root()) g_counting.store(false);
-    t_counted_rank = -1;
+    test::stop_counting_allocations();
     check(1);
 
     std::uint64_t sent = 0;
@@ -513,9 +480,9 @@ TEST(CollectiveBatch, RootedReduceRecyclesItsPacks) {
               own > 0 ? std::uint64_t{kRanks - 1} : 0)
         << "rank " << r;
   });
-  EXPECT_EQ(g_large_allocations[0].load(), 0);
-  EXPECT_EQ(g_large_allocations[1].load(), 0);
-  EXPECT_EQ(g_large_allocations[2].load(), 2);
+  EXPECT_EQ(test::allocation_counts(0).large_blocks, 0u);
+  EXPECT_EQ(test::allocation_counts(1).large_blocks, 0u);
+  EXPECT_EQ(test::allocation_counts(2).large_blocks, 2u);
 }
 
 TEST(CollectiveBatch, RoundsRejectTheOtherKindOfDirectory) {

@@ -1,53 +1,24 @@
 // Tests for the parallel hashing paradigm: the collision-free distributed
-// hash table (update / enquiry / blocked rounds), the ScalParC node table
-// (epoch-stamped child assignments) and the arbitrary-key open-addressing
-// table — validated against a serial map for a sweep of rank counts.
+// hash table (update / enquiry / blocked rounds, validated against a serial
+// map for a sweep of rank counts), what its exchanges send and allocate, and
+// the ScalParC node table (epoch-stamped child assignments).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <new>
+#include <numeric>
+#include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "core/flat_hash.hpp"
+#include "alloc_counter.hpp"
 #include "core/node_table.hpp"
 #include "mp/collectives.hpp"
-#include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
-#include "util/random.hpp"
-
-// Every allocation of this test binary goes through these replacements, so
-// a test can count what its rank threads allocate.
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_counted_bytes{0};
-std::atomic<std::size_t> g_largest_allocation{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_counted_bytes.fetch_add(size, std::memory_order_relaxed);
-    std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
-    while (size > largest &&
-           !g_largest_allocation.compare_exchange_weak(
-               largest, size, std::memory_order_relaxed)) {
-    }
-  }
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
-}
-// Out of line, so the compiler never pairs a new expression with free().
-[[gnu::noinline]] void operator delete(void* block) noexcept {
-  std::free(block);
-}
-[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
-  std::free(block);
-}
 
 namespace scalparc {
 namespace {
@@ -132,7 +103,7 @@ TEST_P(Dht, LastWriterWinsWithinOneRound) {
 TEST_P(Dht, BlockedUpdatesMatchUnblocked) {
   const int p = GetParam();
   constexpr std::uint64_t kKeys = 150;
-  mp::run_ranks(p, kZero, [p](mp::Comm& comm) {
+  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
     Table table(comm, kKeys, Value{-1});
     // Rank 0 sends ALL updates (the pathological skew §3.3.2 worries about);
     // a block limit of 16 forces ceil(150/16) = 10 all-to-all rounds on
@@ -152,7 +123,45 @@ TEST_P(Dht, BlockedUpdatesMatchUnblocked) {
     for (std::size_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(got[i].payload, static_cast<std::int64_t>(i) + 1000);
     }
-    (void)p;
+  });
+
+  // Every rank sends a different, non-zero number of updates, 6 + 9r, the
+  // last of which rewrites the rank's first key. Under a block limit of 4
+  // the ranks run out of rounds at different times (after 2, 4, 6, 8, 11,
+  // ... rounds) and join the later rounds with empty batches. No two ranks
+  // write one key, so a serial map replaying each rank's updates in order
+  // is the oracle.
+  constexpr std::int64_t kSpread = 293;  // prime: k -> 7k mod 293 is 1:1
+  const auto updates_of = [](int rank) {
+    std::int64_t first = 0;
+    for (int q = 0; q < rank; ++q) first += 5 + 9 * q;
+    std::vector<Table::Update> updates;
+    for (std::int64_t i = 0; i < 5 + 9 * rank; ++i) {
+      const std::int64_t key = (first + i) * 7 % kSpread;
+      updates.push_back(Table::Update{key, Value{key * 10 + rank}});
+    }
+    updates.push_back(Table::Update{updates.front().key, Value{-1000 - rank}});
+    return updates;
+  };
+  std::map<std::int64_t, std::int64_t> oracle;
+  for (int rank = 0; rank < p; ++rank) {
+    for (const Table::Update& u : updates_of(rank)) {
+      oracle[u.key] = u.value.payload;
+    }
+  }
+  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+    Table table(comm, kSpread, Value{-1});
+    const std::vector<Table::Update> updates = updates_of(comm.rank());
+    table.update(updates, /*block_limit=*/4);
+    std::vector<std::int64_t> keys(kSpread);
+    std::iota(keys.begin(), keys.end(), std::int64_t{0});
+    const auto got = table.enquire(keys);
+    for (const std::int64_t key : keys) {
+      const auto it = oracle.find(key);
+      EXPECT_EQ(got[static_cast<std::size_t>(key)].payload,
+                it == oracle.end() ? -1 : it->second)
+          << "key " << key;
+    }
   });
 }
 
@@ -333,6 +342,7 @@ TEST(NodeTableTest2, SteadyLevelAllocatesNoRecordSizedBuffer) {
   constexpr int kRanks = 3;
   constexpr std::int64_t kRecords = 300000;
   constexpr std::int64_t kBlock = kRecords / kRanks;
+  test::reset_allocation_counts();
   mp::run_ranks(kRanks, kZero, [](mp::Comm& comm) {
     core::NodeTable table(comm, kRecords);
     // Every rank updates a strided third of the rids, so it sends to every
@@ -358,21 +368,112 @@ TEST(NodeTableTest2, SteadyLevelAllocatesNoRecordSizedBuffer) {
     };
     level();
     mp::barrier(comm);
-    if (comm.is_root()) g_counting.store(true);
-    mp::barrier(comm);
+    test::start_counting_allocations(comm.rank());
     level();
-    mp::barrier(comm);
-    if (comm.is_root()) g_counting.store(false);
+    test::stop_counting_allocations();
     for (std::size_t i = 0; i < asked.size(); ++i) {
       ASSERT_EQ(got[i], static_cast<std::int32_t>(asked[i] % 5));
     }
   });
-  const std::size_t largest = g_largest_allocation.load();
-  const std::size_t total = g_counted_bytes.load();
-  EXPECT_LT(largest, std::size_t{4096});
-  EXPECT_LT(total, std::size_t{64} << 10);
-  std::printf("steady level: %zu bytes allocated, largest %zu\n", total,
-              largest);
+  const test::AllocationCounts counts = test::total_allocation_counts();
+  EXPECT_LT(counts.largest, std::size_t{4096});
+  EXPECT_LT(counts.bytes, std::size_t{64} << 10);
+  std::printf("steady level: %zu bytes allocated, largest %zu\n",
+              counts.bytes, counts.largest);
+}
+
+TEST(NodeTableTest2, WireBytesPerEntryAndAlltoallCalls) {
+  // Pins what the node table's exchanges put on the wire at p = 3: an
+  // update entry is a uint64 slot plus a NodeTableEntry (16 B), an enquiry
+  // sends each key as an 8 B slot and gets the 8 B entry back. Only entries
+  // for another rank travel; a rank keeps its own chunk.
+  constexpr int kRanks = 3;
+  constexpr std::int64_t kRecords = 300;
+  constexpr std::int64_t kBlock = kRecords / kRanks;
+  constexpr std::int64_t kBlockLimit = 16;
+  // Rank r updates every rid with rid % 3 == r, so every rid has a child,
+  // and enquires an uneven, rank-dependent subset of all rids.
+  const auto updated_by = [](int rank) {
+    std::vector<std::int64_t> rids;
+    for (std::int64_t rid = rank; rid < kRecords; rid += kRanks) {
+      rids.push_back(rid);
+    }
+    return rids;
+  };
+  const auto asked_by = [](int rank) {
+    std::vector<std::int64_t> rids;
+    for (std::int64_t rid = kRecords - 1; rid >= 0; --rid) {
+      if ((rid * 7 + rank) % (rank + 2) == 0) rids.push_back(rid);
+    }
+    return rids;
+  };
+  const auto owner = [](std::int64_t rid) {
+    return static_cast<int>(rid / kBlock);
+  };
+  const auto sent_away = [&](int rank, std::span<const std::int64_t> rids) {
+    return static_cast<std::uint64_t>(
+        std::count_if(rids.begin(), rids.end(), [&](std::int64_t rid) {
+          return owner(rid) != rank;
+        }));
+  };
+  std::vector<std::uint64_t> answers_returned(kRanks, 0);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    for (const std::int64_t rid : asked_by(rank)) {
+      if (owner(rid) != rank) ++answers_returned[owner(rid)];
+    }
+  }
+  // The blocked update sends a prefix of 40 + 25r rids: every rank joins
+  // ceil(90 / 16) = 6 rounds.
+  const auto blocked_prefix = [](int rank) {
+    return static_cast<std::size_t>(40 + 25 * rank);
+  };
+  constexpr std::uint64_t kBlockedRounds = 6;
+
+  mp::run_ranks(kRanks, kZero, [&](mp::Comm& comm) {
+    const int r = comm.rank();
+    constexpr auto kAlltoall = static_cast<std::size_t>(mp::CommOp::kAlltoall);
+    const auto alltoall = [&](const mp::CommStats& before) {
+      const mp::CommStats& now = comm.stats();
+      return std::pair<std::uint64_t, std::uint64_t>{
+          now.bytes_sent_by_op[kAlltoall] - before.bytes_sent_by_op[kAlltoall],
+          now.calls_by_op[kAlltoall] - before.calls_by_op[kAlltoall]};
+    };
+    core::NodeTable table(comm, kRecords);
+    table.begin_level();
+    const std::vector<std::int64_t> rids = updated_by(r);
+    std::vector<std::int32_t> children(rids.size());
+    for (std::size_t i = 0; i < rids.size(); ++i) {
+      children[i] = static_cast<std::int32_t>(rids[i] % 4);
+    }
+
+    mp::CommStats before = comm.stats();
+    table.update(rids, children, /*block_limit=*/0);
+    auto [bytes, calls] = alltoall(before);
+    EXPECT_EQ(bytes, 16 * sent_away(r, rids)) << "rank " << r;
+    EXPECT_EQ(calls, 1u) << "rank " << r;
+
+    const std::vector<std::int64_t> asked = asked_by(r);
+    std::vector<std::int32_t> got(asked.size());
+    before = comm.stats();
+    table.enquire(asked, got);
+    std::tie(bytes, calls) = alltoall(before);
+    EXPECT_EQ(bytes, 8 * sent_away(r, asked) +
+                         8 * answers_returned[static_cast<std::size_t>(r)])
+        << "rank " << r;
+    EXPECT_EQ(calls, 2u) << "rank " << r;
+    for (std::size_t i = 0; i < asked.size(); ++i) {
+      ASSERT_EQ(got[i], static_cast<std::int32_t>(asked[i] % 4));
+    }
+
+    const std::span<const std::int64_t> prefix(rids.data(), blocked_prefix(r));
+    before = comm.stats();
+    table.update(prefix, std::span<const std::int32_t>(children).first(
+                             prefix.size()),
+                 kBlockLimit);
+    std::tie(bytes, calls) = alltoall(before);
+    EXPECT_EQ(bytes, 16 * sent_away(r, prefix)) << "rank " << r;
+    EXPECT_EQ(calls, kBlockedRounds) << "rank " << r;
+  });
 }
 
 TEST(NodeTableTest2, MemoryIsBlockSizedPerRank) {
@@ -386,264 +487,6 @@ TEST(NodeTableTest2, MemoryIsBlockSizedPerRank) {
         rank.meter.peak_bytes(util::MemCategory::kNodeTable);
     // 1024/4 = 256 entries of 8 bytes each.
     EXPECT_EQ(table_bytes, 256 * sizeof(core::NodeTableEntry));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DistributedFlatHashTable: arbitrary keys (§3.3.1's closing remark on
-// collisions). ChainedHash is named for the paper's open-chaining wording;
-// the table under test resolves collisions by open addressing.
-// ---------------------------------------------------------------------------
-
-struct Payload {
-  std::int64_t value = 0;
-};
-
-using Flat = core::DistributedFlatHashTable<Payload>;
-
-class ChainedHash : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(RankSweep, ChainedHash, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST_P(ChainedHash, SparseArbitraryKeysRoundTrip) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [p](mp::Comm& comm) {
-    // Few buckets, many colliding sparse keys: probing must absorb them.
-    Flat table(comm, /*num_buckets=*/17);
-    std::vector<Flat::Update> updates;
-    for (int i = comm.rank(); i < 120; i += p) {
-      const std::int64_t key = static_cast<std::int64_t>(i) * 1000003 - 500;
-      updates.push_back(Flat::Update{key, Payload{key * 2}});
-    }
-    table.update(updates);
-    std::vector<std::int64_t> keys;
-    for (int i = 0; i < 120; ++i) {
-      keys.push_back(static_cast<std::int64_t>(i) * 1000003 - 500);
-    }
-    const auto lookups = table.enquire(keys);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_TRUE(lookups[i].found) << "key index " << i;
-      EXPECT_EQ(lookups[i].value.value, keys[i] * 2);
-    }
-  });
-}
-
-TEST_P(ChainedHash, MissingKeysReportNotFound) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Flat table(comm, 8);
-    std::vector<Flat::Update> updates;
-    if (comm.is_root()) updates.push_back(Flat::Update{42, Payload{7}});
-    table.update(updates);
-    const auto lookups =
-        table.enquire(std::vector<std::int64_t>{42, 43, -42});
-    EXPECT_TRUE(lookups[0].found);
-    EXPECT_EQ(lookups[0].value.value, 7);
-    EXPECT_FALSE(lookups[1].found);
-    EXPECT_FALSE(lookups[2].found);
-  });
-}
-
-TEST_P(ChainedHash, InsertOrAssignOverwrites) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Flat table(comm, 4);
-    std::vector<Flat::Update> first;
-    std::vector<Flat::Update> second;
-    if (comm.is_root()) {
-      first.push_back(Flat::Update{99, Payload{1}});
-      second.push_back(Flat::Update{99, Payload{2}});
-    }
-    table.update(first);
-    table.update(second);
-    const auto lookups = table.enquire(std::vector<std::int64_t>{99});
-    EXPECT_EQ(lookups[0].value.value, 2);
-    // No duplicate entries.
-    const std::uint64_t entries = mp::allreduce_value(
-        comm, static_cast<std::uint64_t>(table.local_entries()), mp::SumOp{});
-    EXPECT_EQ(entries, 1u);
-  });
-}
-
-TEST_P(ChainedHash, BlockedUpdatesEquivalent) {
-  const int p = GetParam();
-  mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-    Flat table(comm, 32);
-    std::vector<Flat::Update> updates;
-    if (comm.rank() == 0) {
-      for (std::int64_t i = 0; i < 100; ++i) {
-        updates.push_back(Flat::Update{i * 7919, Payload{i}});
-      }
-    }
-    table.update(updates, /*block_limit=*/9);
-    std::vector<std::int64_t> keys;
-    for (std::int64_t i = 0; i < 100; ++i) keys.push_back(i * 7919);
-    const auto lookups = table.enquire(keys);
-    for (std::int64_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(lookups[static_cast<std::size_t>(i)].found);
-      EXPECT_EQ(lookups[static_cast<std::size_t>(i)].value.value, i);
-    }
-  });
-}
-
-TEST_P(ChainedHash, MatchesSerialMapUnderRandomWorkload) {
-  const int p = GetParam();
-  // Serial oracle computed identically on all ranks.
-  std::map<std::int64_t, std::int64_t> oracle;
-  util::Rng rng(404);
-  std::vector<Flat::Update> all_updates;
-  for (int i = 0; i < 500; ++i) {
-    const auto key = static_cast<std::int64_t>(rng.next_int(-1000, 1000));
-    const auto value = static_cast<std::int64_t>(rng.next_int(0, 1 << 20));
-    all_updates.push_back(Flat::Update{key, Payload{value}});
-    oracle[key] = value;
-  }
-  mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-    Flat table(comm, 64);
-    // Round-robin the update stream over ranks but preserve relative order
-    // per key by splitting into sequential batches (later batches win).
-    for (std::size_t begin = 0; begin < all_updates.size(); begin += 100) {
-      std::vector<Flat::Update> mine;
-      for (std::size_t i = begin; i < std::min(begin + 100, all_updates.size());
-           ++i) {
-        if (static_cast<int>(i) % comm.size() == comm.rank()) {
-          mine.push_back(all_updates[i]);
-        }
-      }
-      // One batch per round; within a batch each key appears at most once
-      // per rank, and across rounds later rounds overwrite earlier ones.
-      table.update(mine);
-    }
-    std::vector<std::int64_t> keys;
-    for (const auto& [key, value] : oracle) keys.push_back(key);
-    const auto lookups = table.enquire(keys);
-    std::size_t i = 0;
-    std::size_t matches = 0;
-    for (const auto& [key, value] : oracle) {
-      ASSERT_TRUE(lookups[i].found) << "key " << key;
-      matches += lookups[i].value.value == value;
-      ++i;
-    }
-    // Keys written exactly once must match the oracle; rewritten keys may
-    // legitimately hold any of their written values when two ranks write the
-    // same key in the same round, so only require a large majority here.
-    EXPECT_GT(matches, oracle.size() * 3 / 4);
-  });
-}
-
-TEST(ChainedHash, RejectsZeroBuckets) {
-  EXPECT_THROW(mp::run_ranks(2, kZero,
-                             [](mp::Comm& comm) { Flat table(comm, 0); }),
-               std::invalid_argument);
-}
-
-TEST(ChainedHash, MixKeyScattersDenseKeys) {
-  // Dense keys must spread across buckets (unlike identity hashing).
-  std::vector<int> histogram(16, 0);
-  for (std::int64_t key = 0; key < 1600; ++key) {
-    ++histogram[core::mix_key(static_cast<std::uint64_t>(key)) % 16];
-  }
-  for (const int count : histogram) {
-    EXPECT_GT(count, 50);
-    EXPECT_LT(count, 150);
-  }
-}
-
-TEST(FlatHashDifferential, MatchesChainedTable) {
-  // Against a serial std::map replaying the same two update rounds.
-  struct Tag {
-    std::int64_t tag = 0;
-  };
-  std::map<std::int64_t, std::int64_t> oracle;
-  for (std::int64_t k = 0; k < 5000; ++k) oracle[(k * 37) % 6007] = k;
-  for (std::int64_t k = 0; k < 1000; ++k) oracle[k] = -k;
-  for (const int p : {1, 3}) {
-    mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
-      // Few buckets: heavy probing and several capacity doublings.
-      core::DistributedFlatHashTable<Tag> flat(comm, 97);
-      std::vector<core::DistributedFlatHashTable<Tag>::Update> updates;
-      for (std::int64_t k = comm.rank(); k < 5000; k += comm.size()) {
-        updates.push_back({(k * 37) % 6007, {k}});
-      }
-      flat.update(updates);
-      // Second round overwrites a subset: insert-or-assign semantics.
-      updates.clear();
-      for (std::int64_t k = comm.rank(); k < 1000; k += comm.size()) {
-        updates.push_back({k, {-k}});
-      }
-      flat.update(updates, /*block_limit=*/100);
-
-      std::vector<std::int64_t> keys;
-      for (std::int64_t k = comm.rank(); k < 7000; k += comm.size()) {
-        keys.push_back(k);  // includes keys never inserted
-      }
-      const auto found = flat.enquire(keys);
-      ASSERT_EQ(found.size(), keys.size());
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        const auto it = oracle.find(keys[i]);
-        EXPECT_EQ(found[i].found, it != oracle.end()) << keys[i];
-        if (it != oracle.end() && found[i].found) {
-          EXPECT_EQ(found[i].value.tag, it->second) << keys[i];
-        }
-      }
-    });
-  }
-}
-
-TEST(FlatHash, GrowsBeyondInitialCapacity) {
-  struct Tag {
-    std::int64_t tag = 0;
-  };
-  mp::run_ranks(1, kZero, [&](mp::Comm& comm) {
-    core::DistributedFlatHashTable<Tag> table(comm, 8);
-    const std::size_t initial = table.local_capacity();
-    std::vector<core::DistributedFlatHashTable<Tag>::Update> updates;
-    for (std::int64_t k = 0; k < 2000; ++k) updates.push_back({k, {k * 3}});
-    table.update(updates);
-    EXPECT_EQ(table.local_entries(), 2000u);
-    EXPECT_GT(table.local_capacity(), initial);
-    // Load factor stays under the 70% rehash threshold.
-    EXPECT_LE((table.local_entries() + 1) * 10, table.local_capacity() * 7 +
-                                                    10);
-    std::vector<std::int64_t> keys;
-    for (std::int64_t k = 0; k < 2000; ++k) keys.push_back(k);
-    const auto found = table.enquire(keys);
-    for (std::int64_t k = 0; k < 2000; ++k) {
-      ASSERT_TRUE(found[static_cast<std::size_t>(k)].found) << k;
-      EXPECT_EQ(found[static_cast<std::size_t>(k)].value.tag, k * 3);
-    }
-  });
-}
-
-TEST(FlatHash, MetricsCountAppliedEntriesNotRehashMoves) {
-  for (const int p : {1, 3}) {
-    const mp::RunResult run = mp::run_ranks(p, kZero, [](mp::Comm& comm) {
-      // 8 buckets seed a 16-slot table, so 2,000 distinct keys force
-      // several doublings, each of which moves every live slot.
-      Flat table(comm, 8);
-      std::vector<Flat::Update> updates;
-      for (std::int64_t k = comm.rank(); k < 2000; k += comm.size()) {
-        updates.push_back({k, {k}});
-      }
-      table.update(updates);
-      updates.clear();
-      for (std::int64_t k = comm.rank(); k < 500; k += comm.size()) {
-        updates.push_back({k, {-k}});  // overwrites
-      }
-      table.update(updates, /*block_limit=*/64);
-      std::vector<std::int64_t> keys;
-      for (std::int64_t k = comm.rank(); k < 2500; k += comm.size()) {
-        keys.push_back(k);  // the last 500 were never inserted
-      }
-      (void)table.enquire(keys);
-    });
-    const mp::MetricsSnapshot& metrics = run.metrics;
-    EXPECT_GT(metrics.value("hash.grows"), 0.0) << "p=" << p;
-    EXPECT_EQ(metrics.value("hash.updates"), 2500.0) << "p=" << p;
-    EXPECT_EQ(metrics.value("hash.lookups"), 2500.0) << "p=" << p;
-    const mp::Metric* probes = metrics.find("hash.probe_length");
-    ASSERT_NE(probes, nullptr);
-    EXPECT_EQ(probes->histogram.count, 2500u + 2500u) << "p=" << p;
   }
 }
 
