@@ -205,6 +205,9 @@ RecoveryReport ScalParC::fit_with_recovery(const data::Dataset& training,
   std::vector<double> weights;
   int rebalanced_rank = -1;
   for (int retry = 0;; ++retry) {
+    // A retry's ranks publish counters that restart at zero, so the live
+    // registry drops the failed attempt's sources and samples a new attempt.
+    if (retry > 0) telemetry::reset_live_metrics();
     if (recovery.fault_schedule != nullptr) {
       attempt_options.fault_plan = recovery.fault_schedule->plan(retry);
     }

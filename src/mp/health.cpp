@@ -14,6 +14,11 @@ namespace {
 // treated as alive.
 constexpr double kUnprimedAliveWindowS = 1.0;
 
+// Inter-arrival history ring of each rank's heartbeat estimator and the
+// sample count below which it is not yet primed (no adaptive decisions).
+constexpr int kBeatWindow = 64;
+constexpr int kBeatMinSamples = 8;
+
 double now_busy_s(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -42,13 +47,6 @@ void HealthOptions::validate() const {
   if (slow_ratio < 1.0) {
     bad_health_field("slow_ratio", "must be >= 1, got " +
                                        std::to_string(slow_ratio));
-  }
-  if (window < 2) {
-    bad_health_field("window", "must be >= 2, got " + std::to_string(window));
-  }
-  if (min_samples < 2 || min_samples > window) {
-    bad_health_field("min_samples", "must be in [2, window], got " +
-                                        std::to_string(min_samples));
   }
 }
 
@@ -123,7 +121,7 @@ HealthRegistry::HealthRegistry(int nranks, const HealthOptions& options)
   options_.validate();
   lanes_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    lanes_.push_back(std::make_unique<RankLane>(options_));
+    lanes_.push_back(std::make_unique<RankLane>(kBeatWindow, kBeatMinSamples));
   }
 }
 

@@ -90,10 +90,6 @@ struct HealthOptions {
   // Busy-time ratio (suspect vs median of the other ranks, over the
   // evidence window) above which the suspect is a straggler.
   double slow_ratio = 3.0;
-  // Inter-arrival history ring per estimator and the sample count below
-  // which an estimator is not yet primed (no adaptive decisions).
-  int window = 64;
-  int min_samples = 8;
 
   bool monitoring() const { return detect_stragglers || adaptive_timeouts; }
   // Throws std::invalid_argument naming the offending field on any
@@ -214,8 +210,7 @@ class HealthRegistry {
     bool in_io = false;
     bool finished = false;
 
-    explicit RankLane(const HealthOptions& options)
-        : beats(options.window, options.min_samples) {}
+    RankLane(int window, int min_samples) : beats(window, min_samples) {}
   };
 
   // Opens or closes a not-busy interval of `l`; the caller holds l.mu.

@@ -151,13 +151,11 @@ util::Json MetricsSnapshot::to_json() const {
       entry["p95"] = histogram_quantile(h, 0.95);
       entry["p99"] = histogram_quantile(h, 0.99);
       // Sparse encoding: only non-empty buckets, as [index, count] pairs.
-      util::Json buckets = util::Json::array();
+      util::Json::Array buckets;
       for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
         if (h.buckets[i] == 0) continue;
-        util::Json pair = util::Json::array();
-        pair.push_back(static_cast<std::uint64_t>(i));
-        pair.push_back(h.buckets[i]);
-        buckets.push_back(std::move(pair));
+        buckets.emplace_back(util::Json::Array{
+            static_cast<std::uint64_t>(i), h.buckets[i]});
       }
       entry["buckets"] = std::move(buckets);
     } else {

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -26,10 +26,22 @@ namespace {
 
 std::atomic<bool> g_live_enabled{false};
 std::mutex g_live_mutex;
-std::map<std::string, mp::MetricsSnapshot, std::less<>>& live_sources() {
-  static auto* sources =
-      new std::map<std::string, mp::MetricsSnapshot, std::less<>>();
-  return *sources;
+struct LiveState {
+  int attempt = 0;
+  std::map<std::string, mp::MetricsSnapshot, std::less<>> sources;
+};
+LiveState& live_state() {
+  static auto* state = new LiveState();
+  return *state;
+}
+
+// Empties the live registry, numbers the next attempt 0 and turns
+// publishing on or off: an exporter's first and last act.
+void restart_live_registry(bool enabled) {
+  std::lock_guard<std::mutex> lock(g_live_mutex);
+  live_state().sources.clear();
+  live_state().attempt = 0;
+  g_live_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -77,7 +89,7 @@ void publish_metrics(std::string_view source,
                      const mp::MetricsSnapshot& snapshot) {
   if (!live_metrics_enabled()) return;
   std::lock_guard<std::mutex> lock(g_live_mutex);
-  auto& sources = live_sources();
+  auto& sources = live_state().sources;
   auto it = sources.find(source);
   if (it == sources.end()) {
     sources.emplace(std::string(source), snapshot);
@@ -86,18 +98,21 @@ void publish_metrics(std::string_view source,
   }
 }
 
-mp::MetricsSnapshot merged_live_metrics() {
+LiveMetrics merged_live_metrics() {
   std::lock_guard<std::mutex> lock(g_live_mutex);
-  mp::MetricsSnapshot merged;
-  for (const auto& [source, snapshot] : live_sources()) {
-    merged.merge(snapshot);
+  LiveMetrics live;
+  live.attempt = live_state().attempt;
+  for (const auto& [source, snapshot] : live_state().sources) {
+    live.merged.merge(snapshot);
   }
-  return merged;
+  return live;
 }
 
 void reset_live_metrics() {
+  if (!live_metrics_enabled()) return;
   std::lock_guard<std::mutex> lock(g_live_mutex);
-  live_sources().clear();
+  live_state().sources.clear();
+  ++live_state().attempt;
 }
 
 // ---------------------------------------------------------------------------
@@ -321,68 +336,6 @@ void dump_armed_flight() {
 }
 
 // ---------------------------------------------------------------------------
-// Exposition rendering.
-// ---------------------------------------------------------------------------
-
-std::string exposition_name(std::string_view metric_name) {
-  std::string out = "scalparc_";
-  out.reserve(out.size() + metric_name.size());
-  for (const char c : metric_name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-namespace {
-
-void append_sample(std::string& out, const std::string& name,
-                   const std::string& labels, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += name;
-  out += labels;
-  out += ' ';
-  out += buf;
-  out += '\n';
-}
-
-}  // namespace
-
-std::string render_exposition(const mp::MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const auto& [name, metric] : snapshot.metrics()) {
-    const std::string sample = exposition_name(name);
-    switch (metric.kind) {
-      case mp::MetricKind::kCounter:
-        out += "# TYPE " + sample + " counter\n";
-        append_sample(out, sample, "", metric.value);
-        break;
-      case mp::MetricKind::kGauge:
-        out += "# TYPE " + sample + " gauge\n";
-        append_sample(out, sample, "", metric.value);
-        break;
-      case mp::MetricKind::kHistogram: {
-        const mp::Histogram& h = metric.histogram;
-        out += "# TYPE " + sample + " summary\n";
-        append_sample(out, sample, "{quantile=\"0.5\"}",
-                      mp::histogram_quantile(h, 0.50));
-        append_sample(out, sample, "{quantile=\"0.95\"}",
-                      mp::histogram_quantile(h, 0.95));
-        append_sample(out, sample, "{quantile=\"0.99\"}",
-                      mp::histogram_quantile(h, 0.99));
-        append_sample(out, sample + "_sum", "", static_cast<double>(h.sum));
-        append_sample(out, sample + "_count", "",
-                      static_cast<double>(h.count));
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // TelemetryExporter.
 // ---------------------------------------------------------------------------
 
@@ -393,114 +346,64 @@ struct ExporterImpl {
   std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
-  bool stopped = false;
   std::atomic<int> epochs{0};
-  // Per-counter totals and per-histogram counts from the previous epoch,
-  // for delta computation.
-  std::map<std::string, double> prev_counters;
-  std::map<std::string, std::uint64_t> prev_hist_counts;
   std::chrono::steady_clock::time_point last_epoch_at;
   double t0_s = 0.0;
 };
 
 namespace {
 
-void export_epoch(ExporterImpl& impl) {
+// Writes one series line: `metrics`, after the epoch hook, as a sample of
+// `attempt`.
+void export_epoch(ExporterImpl& impl, int attempt, mp::MetricsSnapshot metrics) {
   const auto now = std::chrono::steady_clock::now();
   const double epoch_seconds =
       std::chrono::duration<double>(now - impl.last_epoch_at).count();
   impl.last_epoch_at = now;
-
-  mp::MetricsSnapshot merged = merged_live_metrics();
-  if (impl.options.epoch_hook) {
-    impl.options.epoch_hook(merged, epoch_seconds);
-  }
+  if (impl.options.epoch_hook) impl.options.epoch_hook(metrics, epoch_seconds);
   const int epoch = impl.epochs.fetch_add(1);
+  if (!impl.timeseries.is_open()) return;
+  util::Json line = util::Json::object();
+  line["format"] = "scalparc-timeseries-v2";
+  line["epoch"] = epoch;
+  line["attempt"] = attempt;
+  line["t_s"] = util::monotonic_seconds() - impl.t0_s;
+  line["interval_ms"] = impl.options.interval_ms;
+  line["metrics"] = metrics.to_json();
+  impl.timeseries << line.dump(0) << "\n";
+  impl.timeseries.flush();
+}
 
-  if (impl.timeseries.is_open()) {
-    util::Json record = util::Json::object();
-    record["format"] = "scalparc-timeseries-v1";
-    record["epoch"] = static_cast<std::int64_t>(epoch);
-    record["t_s"] = util::monotonic_seconds() - impl.t0_s;
-    record["interval_ms"] =
-        static_cast<std::int64_t>(impl.options.interval_ms);
-    util::Json counters = util::Json::object();
-    util::Json gauges = util::Json::object();
-    util::Json histograms = util::Json::object();
-    for (const auto& [name, metric] : merged.metrics()) {
-      switch (metric.kind) {
-        case mp::MetricKind::kCounter: {
-          util::Json entry = util::Json::object();
-          entry["total"] = metric.value;
-          auto [it, inserted] = impl.prev_counters.emplace(name, 0.0);
-          entry["delta"] = metric.value - it->second;
-          it->second = metric.value;
-          counters[name] = std::move(entry);
-          break;
-        }
-        case mp::MetricKind::kGauge:
-          gauges[name] = metric.value;
-          break;
-        case mp::MetricKind::kHistogram: {
-          const mp::Histogram& h = metric.histogram;
-          util::Json entry = util::Json::object();
-          entry["count"] = h.count;
-          auto [it, inserted] = impl.prev_hist_counts.emplace(name, 0);
-          entry["delta_count"] =
-              static_cast<std::uint64_t>(h.count - it->second);
-          it->second = h.count;
-          entry["sum"] = h.sum;
-          entry["max"] = h.max;
-          entry["p50"] = mp::histogram_quantile(h, 0.50);
-          entry["p95"] = mp::histogram_quantile(h, 0.95);
-          entry["p99"] = mp::histogram_quantile(h, 0.99);
-          histograms[name] = std::move(entry);
-          break;
-        }
-      }
-    }
-    record["counters"] = std::move(counters);
-    record["gauges"] = std::move(gauges);
-    record["histograms"] = std::move(histograms);
-    impl.timeseries << record.dump(0) << "\n";
-    impl.timeseries.flush();
+// Joins the sampling thread; false when it was already stopped.
+bool halt(ExporterImpl& impl) {
+  {
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    if (impl.stopping) return false;
+    impl.stopping = true;
   }
-
-  if (!impl.options.expose_path.empty()) {
-    // Atomic rewrite: scrapers never observe a half-written snapshot.
-    const std::string tmp = impl.options.expose_path + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    if (out) {
-      out << render_exposition(merged);
-      out.flush();
-      out.close();
-      if (std::rename(tmp.c_str(), impl.options.expose_path.c_str()) != 0) {
-        SCALPARC_LOG_ERROR << "telemetry: rename '" << tmp << "' -> '"
-                           << impl.options.expose_path << "' failed";
-      }
-    } else {
-      SCALPARC_LOG_ERROR << "telemetry: cannot open '" << tmp
-                         << "' for writing";
-    }
-  }
+  impl.cv.notify_all();
+  if (impl.worker.joinable()) impl.worker.join();
+  return true;
 }
 
 }  // namespace
 
-TelemetryExporter::TelemetryExporter(TelemetryOptions options)
-    : impl_(new ExporterImpl()) {
+TelemetryExporter::TelemetryExporter(TelemetryOptions options) {
+  std::ofstream timeseries;
+  if (!options.timeseries_path.empty()) {
+    timeseries.open(options.timeseries_path, std::ios::trunc);
+    if (!timeseries) {
+      throw std::runtime_error("telemetry: cannot open '" +
+                               options.timeseries_path + "' for writing");
+    }
+  }
+  impl_ = new ExporterImpl();
   impl_->options = std::move(options);
+  impl_->timeseries = std::move(timeseries);
   if (impl_->options.interval_ms < 1) impl_->options.interval_ms = 1;
   impl_->t0_s = util::monotonic_seconds();
   impl_->last_epoch_at = std::chrono::steady_clock::now();
-  if (!impl_->options.timeseries_path.empty()) {
-    impl_->timeseries.open(impl_->options.timeseries_path, std::ios::trunc);
-    if (!impl_->timeseries) {
-      SCALPARC_LOG_ERROR << "telemetry: cannot open '"
-                         << impl_->options.timeseries_path << "' for writing";
-    }
-  }
-  set_live_metrics_enabled(true);
+  restart_live_registry(true);
   impl_->worker = std::thread([impl = impl_] {
     std::unique_lock<std::mutex> lock(impl->mutex);
     for (;;) {
@@ -508,28 +411,20 @@ TelemetryExporter::TelemetryExporter(TelemetryOptions options)
           lock, std::chrono::milliseconds(impl->options.interval_ms),
           [impl] { return impl->stopping; });
       if (impl->stopping) return;
-      export_epoch(*impl);
+      LiveMetrics live = merged_live_metrics();
+      export_epoch(*impl, live.attempt, std::move(live.merged));
     }
   });
 }
 
-void TelemetryExporter::stop() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (impl_->stopped) return;
-    impl_->stopped = true;
-    impl_->stopping = true;
-  }
-  impl_->cv.notify_all();
-  if (impl_->worker.joinable()) impl_->worker.join();
-  // Final epoch so short runs still produce at least one record and the
-  // exposition file reflects the end state.
-  export_epoch(*impl_);
-  set_live_metrics_enabled(false);
+void TelemetryExporter::stop(const mp::MetricsSnapshot& final_registry) {
+  if (!halt(*impl_)) return;
+  export_epoch(*impl_, merged_live_metrics().attempt, final_registry);
+  restart_live_registry(false);
 }
 
 TelemetryExporter::~TelemetryExporter() {
-  stop();
+  if (halt(*impl_)) restart_live_registry(false);
   delete impl_;
 }
 

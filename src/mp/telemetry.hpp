@@ -9,11 +9,13 @@
 //                       serve batch rate-limited); a sampler merges the
 //                       latest copy per source. Counters are cumulative,
 //                       so latest-wins per source is exact modulo lag.
+//                       A recovered fit starts each retry with an empty
+//                       registry and the next attempt number.
 //   TelemetryExporter   background thread samples the live registry on an
-//                       interval, computes counter deltas per epoch, and
-//                       appends scalparc-timeseries-v1 JSONL records plus
-//                       an atomically rewritten Prometheus-style text
-//                       exposition snapshot.
+//                       interval and appends one scalparc-timeseries-v2
+//                       JSONL line per epoch: the merged registry in its
+//                       one encoding, MetricsSnapshot::to_json. The last
+//                       line is the run's end-of-run registry itself.
 //   RollingQuantiles    ring of per-epoch log2 histograms merged over a
 //                       window — p50/p95/p99 of the last W epochs, not of
 //                       the whole run.
@@ -54,12 +56,20 @@ void set_live_metrics_enabled(bool enabled);
 // when disabled is the enabled() check only.
 void publish_metrics(std::string_view source, const mp::MetricsSnapshot& snapshot);
 
-// Merge of the latest snapshot from every source (counters sum, gauges max,
-// histograms fold) — the same algebra run_ranks applies at end of run.
-mp::MetricsSnapshot merged_live_metrics();
+struct LiveMetrics {
+  int attempt = 0;  // the attempt the sources belong to
+  mp::MetricsSnapshot merged;
+};
 
-// Drops all published snapshots (keeps the enabled flag). For tests and for
-// process reuse between runs.
+// Merge of the latest snapshot from every source (counters sum, gauges max,
+// histograms fold) — the same algebra run_ranks applies at end of run —
+// read together with the attempt number under one lock.
+LiveMetrics merged_live_metrics();
+
+// Starts the next attempt: drops every published snapshot and numbers what
+// is sampled from here on with attempt + 1. A recovered fit calls it before
+// each retry, whose ranks publish counters that restarted at zero. No-op
+// while the live registry is disabled.
 void reset_live_metrics();
 
 // ---------------------------------------------------------------------------
@@ -160,20 +170,17 @@ void dump_armed_flight();
 // ---------------------------------------------------------------------------
 
 struct TelemetryOptions {
-  // Appends one scalparc-timeseries-v1 JSON object per epoch. Empty = off.
+  // Truncated, then one scalparc-timeseries-v2 line per epoch. Empty = off.
   std::string timeseries_path;
-  // Prometheus-style text exposition, atomically rewritten (tmp + rename)
-  // each epoch. Empty = off.
-  std::string expose_path;
   int interval_ms = 1000;
-  // Called on the exporter thread each epoch with the merged snapshot
-  // before export — serve injects the slo.* family here.
+  // Called with each line's snapshot before it is written, the final line
+  // included — serve injects the slo.* family here.
   std::function<void(mp::MetricsSnapshot&, double epoch_seconds)> epoch_hook;
 };
 
-// Background sampler. Construction enables the live registry and starts the
-// thread; stop() (idempotent, also run by the destructor) exports one final
-// epoch so short runs still produce at least one record.
+// Background sampler. Construction opens the series (throwing
+// std::runtime_error when it cannot), empties and enables the live registry
+// with attempt numbering restarted at 0, and starts the thread.
 class TelemetryExporter {
  public:
   explicit TelemetryExporter(TelemetryOptions options);
@@ -181,20 +188,16 @@ class TelemetryExporter {
   TelemetryExporter(const TelemetryExporter&) = delete;
   TelemetryExporter& operator=(const TelemetryExporter&) = delete;
 
-  void stop();
+  // Joins the sampling thread, then writes the final line from
+  // `final_registry` (the run's end-of-run registry, which is what its
+  // --metrics-out document holds) and empties and disables the live
+  // registry. Later calls do nothing; the destructor stops sampling without
+  // a final line.
+  void stop(const mp::MetricsSnapshot& final_registry);
   int epochs() const;
 
  private:
   struct ExporterImpl* impl_;
 };
-
-// Prometheus-compatible sample name: dots and other non-[a-zA-Z0-9_:]
-// characters become underscores, with a "scalparc_" prefix.
-std::string exposition_name(std::string_view metric_name);
-
-// Renders the merged snapshot in Prometheus text-exposition format
-// (counters/gauges as single samples, histograms as summaries with
-// quantile labels). Exposed for trace-report validation and tests.
-std::string render_exposition(const mp::MetricsSnapshot& snapshot);
 
 }  // namespace scalparc::telemetry

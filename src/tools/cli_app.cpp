@@ -126,12 +126,11 @@ commands:
                                     (default 1 = all)
                --metrics-out FILE   write the run's merged metrics registry
                                     as JSON (scalparc-metrics-v1)
-               --telemetry-out FILE append live scalparc-timeseries-v1 JSONL
-                                    epochs sampled from the running ranks
+               --telemetry-out FILE write scalparc-timeseries-v2 JSONL: one
+                                    registry sampled from the running ranks
+                                    per epoch, then the final registry
                --telemetry-interval-ms N
                                     telemetry sampling epoch (default 1000)
-               --expose-out FILE    Prometheus text exposition, atomically
-                                    rewritten every telemetry epoch
                --flight-out FILE    dump the flight-recorder event ring as
                                     scalparc-flight-v1 JSONL at exit
   predict    evaluate a saved model on a CSV
@@ -371,20 +370,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
     err << "train: --trace-sample must be >= 1\n";
     return 2;
   }
-  if (!trace_path.empty()) {
-    util::TraceConfig trace_config;
-    trace_config.sample_every = static_cast<int>(trace_sample);
-    if (!util::TraceCollector::instance().start(trace_config)) {
-      err << "train: --trace-out needs a build with -DSCALPARC_TRACE=ON\n";
-      return 2;
-    }
-  }
-
-  // Continuous telemetry (off by default; docs/observability.md). The rank
-  // threads publish per-level snapshot copies; the exporter samples them on
-  // the interval.
   const std::string telemetry_path = args.get_string("telemetry-out", "");
-  const std::string expose_path = args.get_string("expose-out", "");
   const std::string flight_path = args.get_string("flight-out", "");
   const std::int64_t telemetry_interval_ms =
       args.get_int("telemetry-interval-ms", 1000);
@@ -392,20 +378,41 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
     err << "train: --telemetry-interval-ms must be >= 1\n";
     return 2;
   }
+  // Every output is checked before the data is read, so a bad path costs
+  // no fit.
+  const std::string unwritable = args.unwritable_output(
+      {"model", "trace-out", "metrics-out", "telemetry-out", "flight-out"});
+  if (!unwritable.empty()) {
+    err << "train: cannot write --" << unwritable << " '"
+        << args.get_string(unwritable, "") << "'\n";
+    return 2;
+  }
+  if (!trace_path.empty() && !util::trace_compiled_in()) {
+    err << "train: --trace-out needs a build with -DSCALPARC_TRACE=ON\n";
+    return 2;
+  }
+  const data::Dataset training = data::read_csv_file(data_path);
+
+  if (!trace_path.empty()) {
+    util::TraceConfig trace_config;
+    trace_config.sample_every = static_cast<int>(trace_sample);
+    util::TraceCollector::instance().start(trace_config);
+  }
+  // Continuous telemetry (off by default; docs/observability.md). The rank
+  // threads publish per-level snapshot copies; the exporter samples them on
+  // the interval.
   if (!flight_path.empty()) {
     telemetry::set_flight_capacity(256);
     telemetry::arm_flight_dump(flight_path);
   }
   std::unique_ptr<telemetry::TelemetryExporter> exporter;
-  if (!telemetry_path.empty() || !expose_path.empty()) {
+  if (!telemetry_path.empty()) {
     telemetry::TelemetryOptions topts;
     topts.timeseries_path = telemetry_path;
-    topts.expose_path = expose_path;
     topts.interval_ms = static_cast<int>(telemetry_interval_ms);
     exporter = std::make_unique<telemetry::TelemetryExporter>(std::move(topts));
   }
 
-  const data::Dataset training = data::read_csv_file(data_path);
   core::FitReport report;
   if (controls.checkpoint.resume) {
     report = core::ScalParC::resume_from_checkpoint(
@@ -471,7 +478,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
         }
       }
       err << "\n";
-      if (exporter != nullptr) exporter->stop();
+      if (exporter != nullptr) exporter->stop(recovered.fit.run.metrics);
       telemetry::dump_armed_flight();
       return 1;
     }
@@ -480,14 +487,11 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
     report = core::ScalParC::fit(training, ranks, controls,
                                  mp::CostModel::zero(), run_options);
   }
-  // Final epoch captures the end-of-run registry state.
+  // The series ends in the registry --metrics-out writes.
   if (exporter != nullptr) {
-    exporter->stop();
+    exporter->stop(report.run.metrics);
     out << "telemetry: " << exporter->epochs() << " epoch(s) every "
-        << telemetry_interval_ms << " ms";
-    if (!telemetry_path.empty()) out << " -> " << telemetry_path;
-    if (!expose_path.empty()) out << ", expose " << expose_path;
-    out << "\n";
+        << telemetry_interval_ms << " ms -> " << telemetry_path << "\n";
   }
   if (!flight_path.empty()) {
     if (telemetry::dump_flight(flight_path)) {

@@ -67,10 +67,10 @@ usage: scalparc-serve --model FILE [flags]
   --metrics-out FILE  write the merged metrics registry as JSON
 
 continuous telemetry (all off by default; docs/observability.md):
-  --telemetry-out FILE        append scalparc-timeseries-v1 JSONL epochs
+  --telemetry-out FILE        write scalparc-timeseries-v2 JSONL: one
+                              sampled registry per epoch, then the final
+                              registry
   --telemetry-interval-ms N   sampling epoch length (default 250)
-  --expose-out FILE           Prometheus text exposition, atomically
-                              rewritten each epoch
   --flight-out FILE           flight-recorder ring dumped as
                               scalparc-flight-v1 JSONL at exit (and on
                               SIGINT/SIGTERM or error exit)
@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
 
   // ---- continuous telemetry knobs ----------------------------------------
   const std::string telemetry_path = args.get_string("telemetry-out", "");
-  const std::string expose_path = args.get_string("expose-out", "");
   const std::string flight_path = args.get_string("flight-out", "");
   const auto telemetry_interval_ms =
       static_cast<int>(args.get_int("telemetry-interval-ms", 250));
@@ -132,6 +131,14 @@ int main(int argc, char** argv) {
   const double slo_p99_us = args.get_double("slo-p99-us", 0.0);
   if (args.has("slo-p99-us") && slo_p99_us <= 0.0) {
     std::fputs("scalparc-serve: --slo-p99-us must be > 0\n", stderr);
+    return 2;
+  }
+
+  const std::string unwritable = args.unwritable_output(
+      {"report", "metrics-out", "telemetry-out", "flight-out"});
+  if (!unwritable.empty()) {
+    std::fprintf(stderr, "scalparc-serve: cannot write --%s '%s'\n",
+                 unwritable.c_str(), args.get_string(unwritable, "").c_str());
     return 2;
   }
 
@@ -225,10 +232,9 @@ int main(int argc, char** argv) {
       slo = std::make_unique<telemetry::SloTracker>(slo_p99_us);
     }
     std::unique_ptr<telemetry::TelemetryExporter> exporter;
-    if (!telemetry_path.empty() || !expose_path.empty() || slo != nullptr) {
+    if (!telemetry_path.empty() || slo != nullptr) {
       telemetry::TelemetryOptions topts;
       topts.timeseries_path = telemetry_path;
-      topts.expose_path = expose_path;
       topts.interval_ms = telemetry_interval_ms;
       if (slo != nullptr) {
         telemetry::SloTracker* tracker = slo.get();
@@ -325,10 +331,10 @@ int main(int argc, char** argv) {
           }
         });
 
-    // Final telemetry epoch (every rank has published its end state), then
-    // fold the exporter-owned slo.* family into the merged registry so the
-    // report and --metrics-out carry it.
-    if (exporter != nullptr) exporter->stop();
+    // The series ends in the merged registry, to which the epoch hook adds
+    // the exporter-owned slo.* family once; the report and --metrics-out
+    // then carry the same family.
+    if (exporter != nullptr) exporter->stop(run.metrics);
     if (slo != nullptr) run.metrics.merge(slo->metrics());
 
     // ---- aggregation -----------------------------------------------------
@@ -380,12 +386,10 @@ int main(int argc, char** argv) {
           slo_metrics.value("slo.burn_seconds"));
     }
     if (exporter != nullptr) {
-      std::printf("telemetry: %d epoch(s) every %d ms%s%s\n",
+      std::printf("telemetry: %d epoch(s) every %d ms%s\n",
                   exporter->epochs(), telemetry_interval_ms,
                   telemetry_path.empty() ? ""
-                                         : (" -> " + telemetry_path).c_str(),
-                  expose_path.empty() ? ""
-                                      : (", expose " + expose_path).c_str());
+                                         : (" -> " + telemetry_path).c_str());
     }
     std::printf("accuracy: %.4f over %lld record(s)\n", quality.accuracy(),
                 static_cast<long long>(quality.total()));

@@ -1,48 +1,35 @@
-// scalparc-trace-report: summarize (and validate) a Chrome trace_event JSON
-// written by `scalparc train --trace-out`.
-//
-// The report mirrors the paper's presentation: a per-phase total table and a
-// per-level breakdown of the five §4 phases in modeled seconds (max over
-// ranks, the quantity the scalability argument is about), followed by the
-// top-k slowest spans by wall time — where the simulation itself spent real
-// time. --validate turns the tool into a schema checker for CI: it verifies
-// the trace parses, every rank emitted a process, phase coverage is
-// SPMD-symmetric, and (for complete traces) that the per-rank span vtimes
-// tile InductionStats::total_seconds within 1%. Traces from recovered runs
-// get cross-checked too: elastic_restore spans must pair with the
-// checkpoint.elastic_restores / recovery.retile_bytes counters, and any
-// recovery.* family must carry the recovery.outcome gauge (a recovery that
-// escaped classification is exactly what the chaos soak hunts). Health-
-// monitored runs get a heartbeat cross-check: the Hub's received counter
-// must agree with the summed per-rank health.heartbeats_sent, and a
-// straggler classification without received heartbeats is an error.
-//
-// The tool also reads the continuous-telemetry documents (PR 10): a
-// scalparc-timeseries-v1 JSONL (--timeseries, rendered with --timeline),
-// a Prometheus text-exposition snapshot (--expose), and a
-// scalparc-flight-v1 flight-recorder dump (--flight). --validate covers all
-// of them: monotone epochs and counter-delta consistency for the
-// timeseries (including agreement with the final registry when --metrics
-// is given), well-formed TYPE-declared samples for the exposition, and
-// flight events cross-checked against the recovery.* / predict.swaps
-// counters. --critical-path prints a per-level table attributing modeled
-// time to the slowest rank per phase lane with a compute vs. wait split.
+// scalparc-trace-report: summarize and validate the documents a run writes.
 //
 // usage: scalparc-trace-report [TRACE.json] [flags]
-//   --top K          slowest spans to list (default 5)
-//   --metrics FILE   also check/print a --metrics-out file
-//   --critical-path  per-level slowest-rank table (compute vs wait split)
-//   --timeseries F   scalparc-timeseries-v1 JSONL from --telemetry-out
-//   --timeline       render the timeseries as a textual timeline
-//   --expose F       Prometheus exposition snapshot from --expose-out
+//   TRACE.json       Chrome trace_event JSON from `scalparc train --trace-out`
+//   --metrics FILE   scalparc-metrics-v1 from --metrics-out
+//   --timeseries F   scalparc-timeseries-v2 JSONL from --telemetry-out
 //   --flight F       scalparc-flight-v1 JSONL from --flight-out
+//   --top K          slowest spans to list (default 5)
+//   --critical-path  per-level slowest-rank table (compute vs wait split)
+//   --timeline       render the timeseries as a textual timeline
 //   --validate       run the CI checks; non-zero exit on any failure
+//
+// Every registry in these documents (the trace's otherData.metrics, the
+// metrics document, each series line) has one encoding,
+// MetricsSnapshot::to_json, and is decoded by MetricsSnapshot::from_json.
+// Every problem is one `FAIL: <document>: <what>` line from one collector:
+// a document that cannot be read or decoded fails in any mode, and the tool
+// exits 1 on any failure.
+//
+// The trace report mirrors the paper's presentation: per-phase totals and a
+// per-level table of the five §4 phases in modeled seconds (max over ranks,
+// the quantity the scalability argument is about), then the top-k slowest
+// spans by wall time. --validate checks the trace's rank and phase coverage,
+// vtime tiling, and recovery and heartbeat counters; the metrics document's
+// format tag; the series' order, attempts, monotone totals and last line
+// (the --metrics registry); and the flight dump's header, order and event
+// counts against that registry.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -50,16 +37,62 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mp/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/read_all.hpp"
 #include "util/trace.hpp"
 
 namespace {
 
+using scalparc::mp::MetricKind;
+using scalparc::mp::MetricsSnapshot;
 using scalparc::util::Json;
+
+// Every failure of every document: one `FAIL: <document>: <what>` line each.
+struct Failures {
+  int count = 0;
+  void add(std::string_view document, const std::string& what) {
+    std::cout << "FAIL: " << document << ": " << what << "\n";
+    ++count;
+  }
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot open '" + path + "'");
+  return scalparc::util::read_all(file);
+}
+
+// The parsed non-empty lines of a JSONL document.
+std::vector<Json> read_jsonl(const std::string& path) {
+  std::istringstream text(read_file(path));
+  std::vector<Json> lines;
+  std::size_t number = 0;
+  for (std::string line; std::getline(text, line);) {
+    ++number;
+    if (line.empty()) continue;
+    try {
+      lines.push_back(Json::parse(line));
+    } catch (const std::exception& e) {
+      throw std::runtime_error("line " + std::to_string(number) + ": " +
+                               e.what());
+    }
+  }
+  return lines;
+}
+
+// The format tag of `doc`, checked against `expected`.
+void require_format(const Json& doc, const std::string& expected) {
+  const std::string& format = doc.at("format").as_string();
+  if (format != expected) {
+    throw std::runtime_error("format tag '" + format + "', expected '" +
+                             expected + "'");
+  }
+}
 
 struct SpanRow {
   std::string name;
@@ -78,6 +111,7 @@ struct SpanRow {
 struct Trace {
   std::vector<SpanRow> spans;
   Json metadata;  // otherData object (null when absent)
+  std::optional<MetricsSnapshot> metrics;  // otherData.metrics, decoded
 };
 
 constexpr const char* kLevelPhases[] = {"findsplit_i", "findsplit_ii",
@@ -89,14 +123,13 @@ double arg_number(const Json& args, const std::string& key, double fallback) {
 }
 
 Trace load_trace(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open '" + path + "'");
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const Json doc = Json::parse(buffer.str());
+  const Json doc = Json::parse(read_file(path));
 
   Trace trace;
   if (const Json* other = doc.find("otherData")) trace.metadata = *other;
+  if (const Json* metrics = trace.metadata.find("metrics")) {
+    trace.metrics = MetricsSnapshot::from_json(*metrics);
+  }
   const Json& events = doc.at("traceEvents");
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Json& event = events.at(i);
@@ -235,15 +268,11 @@ void print_report(const Trace& trace, int top_k, std::ostream& out) {
   }
 }
 
-// CI checks; prints one line per failure and returns the failure count.
-int validate(const Trace& trace, const std::string& metrics_path,
-             std::ostream& out) {
-  int failures = 0;
+// CI checks of a trace.
+void validate_trace(const Trace& trace, Failures& failures) {
   const auto fail = [&](const std::string& what) {
-    out << "FAIL: " << what << "\n";
-    ++failures;
+    failures.add("trace", what);
   };
-
   if (trace.spans.empty()) fail("trace contains no spans");
 
   // Metrics embedded in the trace metadata drive the recovery-aware
@@ -251,11 +280,7 @@ int validate(const Trace& trace, const std::string& metrics_path,
   // from attempts with different world sizes (a grow retry adds joiner
   // ranks beyond the launch world; the failed attempt's ranks show presort
   // while the resumed attempt's show checkpoint_restore).
-  scalparc::mp::MetricsSnapshot meta_metrics;
-  const Json* metrics_meta = trace.metadata.find("metrics");
-  if (metrics_meta != nullptr) {
-    meta_metrics = scalparc::mp::MetricsSnapshot::from_json(*metrics_meta);
-  }
+  const MetricsSnapshot meta_metrics = trace.metrics.value_or(MetricsSnapshot{});
   const bool recovered = meta_metrics.value("recovery.recoveries", 0.0) > 0.0;
   const bool grew = meta_metrics.value("recovery.grows", 0.0) > 0.0;
 
@@ -315,8 +340,8 @@ int validate(const Trace& trace, const std::string& metrics_path,
   // elastic_restore re-tile span) must carry the matching recovery metrics,
   // and vice versa — a recovery.* family without an outcome gauge means the
   // run escaped classification.
-  if (metrics_meta != nullptr) {
-    const scalparc::mp::MetricsSnapshot& metrics = meta_metrics;
+  if (trace.metrics.has_value()) {
+    const MetricsSnapshot& metrics = *trace.metrics;
     const bool has_elastic_spans = phase_ranks.count("elastic_restore") > 0;
     const double elastic_restores =
         metrics.value("checkpoint.elastic_restores", 0.0);
@@ -384,10 +409,9 @@ int validate(const Trace& trace, const std::string& metrics_path,
   // Recovered traces carry the failed attempts' spans too, so the tiling
   // argument only holds for single-attempt runs.
   const Json* complete = trace.metadata.find("complete");
-  if (complete != nullptr && complete->as_bool() && metrics_meta != nullptr &&
+  if (complete != nullptr && complete->as_bool() && trace.metrics.has_value() &&
       !recovered) {
-    const scalparc::mp::MetricsSnapshot& snapshot = meta_metrics;
-    const double total = snapshot.value("induction.total_seconds", -1.0);
+    const double total = trace.metrics->value("induction.total_seconds", -1.0);
     if (total >= 0.0) {
       std::map<int, double> rank_vtime;
       for (const SpanRow& row : trace.spans) {
@@ -407,42 +431,20 @@ int validate(const Trace& trace, const std::string& metrics_path,
     }
   }
 
-  if (!metrics_path.empty()) {
-    std::ifstream file(metrics_path);
-    if (!file) {
-      fail("cannot open metrics file '" + metrics_path + "'");
-    } else {
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      try {
-        const Json doc = Json::parse(buffer.str());
-        if (doc.at("format").as_string() != "scalparc-metrics-v1") {
-          fail("metrics file has unexpected format tag");
-        }
-        const scalparc::mp::MetricsSnapshot snapshot =
-            scalparc::mp::MetricsSnapshot::from_json(doc.at("metrics"));
-        if (snapshot.empty()) fail("metrics file holds no metrics");
-      } catch (const std::exception& e) {
-        fail(std::string("metrics file: ") + e.what());
-      }
-    }
-  }
-
-  return failures;
 }
 
-void print_metrics(const std::string& path, std::ostream& out) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open '" + path + "'");
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const Json doc = Json::parse(buffer.str());
-  const scalparc::mp::MetricsSnapshot snapshot =
-      scalparc::mp::MetricsSnapshot::from_json(doc.at("metrics"));
+// A scalparc-metrics-v1 document's registry.
+MetricsSnapshot load_metrics(const std::string& path) {
+  const Json doc = Json::parse(read_file(path));
+  require_format(doc, "scalparc-metrics-v1");
+  return MetricsSnapshot::from_json(doc.at("metrics"));
+}
+
+void print_metrics(const MetricsSnapshot& snapshot, std::ostream& out) {
   out << "\nmetrics (" << snapshot.size() << "):\n";
   char line[256];
   for (const auto& [name, metric] : snapshot.metrics()) {
-    if (metric.kind == scalparc::mp::MetricKind::kHistogram) {
+    if (metric.kind == MetricKind::kHistogram) {
       const scalparc::mp::Histogram& h = metric.histogram;
       std::snprintf(line, sizeof(line),
                     "  %-40s histogram  count=%llu p50=%.4g p95=%.4g "
@@ -532,303 +534,206 @@ void print_critical_path(const Trace& trace, std::ostream& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Continuous-telemetry documents.
+// The time series: one scalparc-timeseries-v2 line per telemetry epoch.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open '" + path + "'");
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
+struct SeriesLine {
+  std::int64_t epoch = 0;
+  std::int64_t attempt = 0;
+  double t_s = 0.0;
+  MetricsSnapshot metrics;
+};
 
-std::vector<Json> load_jsonl(const std::string& path) {
-  std::vector<Json> docs;
-  std::size_t n = 0;
-  for (const std::string& line : read_lines(path)) {
-    ++n;
+// Decodes every line; a line that does not decode is a failure and is left
+// out of the result.
+std::vector<SeriesLine> decode_series(const std::vector<Json>& lines,
+                                      Failures& failures) {
+  std::vector<SeriesLine> series;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
     try {
-      docs.push_back(Json::parse(line));
+      const Json& line = lines[i];
+      require_format(line, "scalparc-timeseries-v2");
+      SeriesLine decoded;
+      decoded.epoch = line.at("epoch").as_int();
+      decoded.attempt = line.at("attempt").as_int();
+      decoded.t_s = line.at("t_s").as_double();
+      decoded.metrics = MetricsSnapshot::from_json(line.at("metrics"));
+      series.push_back(std::move(decoded));
     } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(n) + ": " +
-                               e.what());
+      failures.add("timeseries",
+                   "line " + std::to_string(i + 1) + ": " + e.what());
     }
   }
-  return docs;
+  return series;
 }
 
-// Renders a scalparc-timeseries-v1 document as a textual timeline: one row
-// per epoch with the busiest counter deltas and every histogram's p99.
-void print_timeline(const std::vector<Json>& epochs, std::ostream& out) {
-  out << "\ntimeline (" << epochs.size() << " epoch(s)):\n";
+// Counter `name`'s total or histogram `name`'s count in `snapshot`; zero
+// when the snapshot or the metric is absent.
+double cumulative(const MetricsSnapshot* snapshot, const std::string& name) {
+  const scalparc::mp::Metric* metric =
+      snapshot == nullptr ? nullptr : snapshot->find(name);
+  if (metric == nullptr) return 0.0;
+  return metric->kind == MetricKind::kHistogram
+             ? static_cast<double>(metric->histogram.count)
+             : metric->value;
+}
+
+// One row per line: the three counters that rose most since the previous
+// line of the same attempt, and the p99 of every histogram that grew.
+void print_timeline(const std::vector<SeriesLine>& series, std::ostream& out) {
+  out << "\ntimeline (" << series.size() << " epoch(s)):\n";
   char line[512];
-  for (const Json& record : epochs) {
-    const double t_s = record.at("t_s").as_double();
-    const std::int64_t epoch = record.at("epoch").as_int();
-    // Top 3 counter deltas by magnitude.
-    std::vector<std::pair<double, std::string>> deltas;
-    for (const auto& [name, entry] : record.at("counters").as_object()) {
-      const double delta = entry.at("delta").as_double();
-      if (delta != 0.0) deltas.emplace_back(delta, name);
+  const SeriesLine* prev = nullptr;
+  for (const SeriesLine& now : series) {
+    const MetricsSnapshot* before =
+        prev != nullptr && prev->attempt == now.attempt ? &prev->metrics
+                                                        : nullptr;
+    std::vector<std::pair<double, std::string>> rises;
+    std::string tails;
+    for (const auto& [name, metric] : now.metrics.metrics()) {
+      if (metric.kind == MetricKind::kGauge) continue;
+      const double delta =
+          cumulative(&now.metrics, name) - cumulative(before, name);
+      if (delta <= 0.0) continue;
+      if (metric.kind == MetricKind::kCounter) {
+        rises.emplace_back(delta, name);
+        continue;
+      }
+      char cell[96];
+      std::snprintf(cell, sizeof(cell), "%s%s p99=%.4g",
+                    tails.empty() ? "" : ", ", name.c_str(),
+                    scalparc::mp::histogram_quantile(metric.histogram, 0.99));
+      tails += cell;
     }
-    std::sort(deltas.begin(), deltas.end(),
+    std::sort(rises.begin(), rises.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     std::string activity;
-    const std::size_t shown = std::min<std::size_t>(3, deltas.size());
-    for (std::size_t i = 0; i < shown; ++i) {
+    for (std::size_t i = 0; i < std::min<std::size_t>(3, rises.size()); ++i) {
       char cell[96];
       std::snprintf(cell, sizeof(cell), "%s%s +%.6g", i ? ", " : "",
-                    deltas[i].second.c_str(), deltas[i].first);
+                    rises[i].second.c_str(), rises[i].first);
       activity += cell;
     }
     if (activity.empty()) activity = "(idle)";
-    std::string tails;
-    for (const auto& [name, entry] : record.at("histograms").as_object()) {
-      const double delta_count = entry.at("delta_count").as_double();
-      if (delta_count <= 0.0) continue;
-      char cell[96];
-      std::snprintf(cell, sizeof(cell), "%s%s p99=%.4g", tails.empty() ? "" : ", ",
-                    name.c_str(), entry.at("p99").as_double());
-      tails += cell;
-    }
-    std::snprintf(line, sizeof(line), "  epoch %4lld  t=%9.3fs  %s%s%s\n",
-                  static_cast<long long>(epoch), t_s, activity.c_str(),
-                  tails.empty() ? "" : "  |  ", tails.c_str());
+    std::snprintf(line, sizeof(line),
+                  "  epoch %4lld  attempt %lld  t=%9.3fs  %s%s%s\n",
+                  static_cast<long long>(now.epoch),
+                  static_cast<long long>(now.attempt), now.t_s,
+                  activity.c_str(), tails.empty() ? "" : "  |  ",
+                  tails.c_str());
     out << line;
+    prev = &now;
   }
 }
 
-// CI checks for a scalparc-timeseries-v1 document: monotone epochs and
-// clocks, monotone counter totals with self-consistent deltas, and (when
-// the final registry is available) last-epoch totals that never exceed it.
-int validate_timeseries(
-    const std::vector<Json>& epochs,
-    const std::optional<scalparc::mp::MetricsSnapshot>& final_metrics,
-    std::ostream& out) {
-  int failures = 0;
+// CI checks of a decoded series: epoch and t_s increase, attempts never
+// decrease, counter totals and histogram counts never fall within one
+// attempt, and the last line equals the final registry when it is given.
+void validate_series(const std::vector<SeriesLine>& series,
+                     const std::optional<MetricsSnapshot>& final_metrics,
+                     Failures& failures) {
   const auto fail = [&](const std::string& what) {
-    out << "FAIL: timeseries: " << what << "\n";
-    ++failures;
+    failures.add("timeseries", what);
   };
-  if (epochs.empty()) {
-    fail("document holds no epoch records");
-    return failures;
+  if (series.empty()) {
+    fail("document holds no decodable lines");
+    return;
   }
-  std::int64_t prev_epoch = -1;
-  double prev_t = -1.0;
-  std::map<std::string, double> prev_totals;
-  std::map<std::string, double> prev_counts;
-  for (const Json& record : epochs) {
-    try {
-      if (record.at("format").as_string() != "scalparc-timeseries-v1") {
-        fail("record has unexpected format tag");
-        continue;
-      }
-      const std::int64_t epoch = record.at("epoch").as_int();
-      const double t_s = record.at("t_s").as_double();
-      if (epoch <= prev_epoch) {
-        fail("epoch " + std::to_string(epoch) + " does not increase on " +
-             std::to_string(prev_epoch));
-      }
-      if (t_s < prev_t) {
-        fail("t_s moves backwards at epoch " + std::to_string(epoch));
-      }
-      prev_epoch = epoch;
-      prev_t = t_s;
-      for (const auto& [name, entry] : record.at("counters").as_object()) {
-        const double total = entry.at("total").as_double();
-        const double delta = entry.at("delta").as_double();
-        auto [it, inserted] = prev_totals.emplace(name, 0.0);
-        if (total + 1e-9 < it->second) {
-          fail("counter '" + name + "' total decreases at epoch " +
-               std::to_string(epoch));
-        }
-        if (std::fabs(delta - (total - it->second)) >
-            1e-6 * std::max(1.0, std::fabs(total))) {
-          fail("counter '" + name + "' delta disagrees with totals at epoch " +
-               std::to_string(epoch));
-        }
-        it->second = total;
-      }
-      for (const auto& [name, entry] : record.at("histograms").as_object()) {
-        const double count = entry.at("count").as_double();
-        const double delta = entry.at("delta_count").as_double();
-        auto [it, inserted] = prev_counts.emplace(name, 0.0);
-        if (count + 1e-9 < it->second) {
-          fail("histogram '" + name + "' count decreases at epoch " +
-               std::to_string(epoch));
-        }
-        if (std::fabs(delta - (count - it->second)) > 1e-6) {
-          fail("histogram '" + name +
-               "' delta_count disagrees with counts at epoch " +
-               std::to_string(epoch));
-        }
-        it->second = count;
-      }
-    } catch (const std::exception& e) {
-      fail(std::string("malformed epoch record: ") + e.what());
+  const SeriesLine* prev = nullptr;
+  for (const SeriesLine& now : series) {
+    const std::string at = " at epoch " + std::to_string(now.epoch);
+    if (prev != nullptr) {
+      if (now.epoch <= prev->epoch) fail("epoch does not increase" + at);
+      if (now.t_s <= prev->t_s) fail("t_s does not increase" + at);
+      if (now.attempt < prev->attempt) fail("attempt decreases" + at);
     }
-  }
-  // Delta-consistency with the final registry: live totals are published
-  // mid-run, so they may lag the end-of-run merge but can never exceed it.
-  if (final_metrics.has_value()) {
-    for (const auto& [name, total] : prev_totals) {
-      const scalparc::mp::Metric* metric = final_metrics->find(name);
-      if (metric == nullptr) {
-        // slo.* lives only in the exporter epochs unless serve merged it
-        // into the final registry; anything else must be in the registry.
-        if (name.rfind("slo.", 0) != 0) {
-          fail("counter '" + name + "' absent from the final registry");
+    if (prev != nullptr && prev->attempt == now.attempt) {
+      for (const auto& [name, metric] : prev->metrics.metrics()) {
+        if (metric.kind == MetricKind::kGauge) continue;
+        const double before = cumulative(&prev->metrics, name);
+        const double after = cumulative(&now.metrics, name);
+        if (after < before - 1e-9 * std::max(1.0, before)) {
+          char msg[256];
+          std::snprintf(msg, sizeof(msg), "%s '%s' falls from %.17g to %.17g",
+                        metric.kind == MetricKind::kCounter ? "counter"
+                                                            : "histogram count",
+                        name.c_str(), before, after);
+          fail(msg + at + " (attempt " + std::to_string(now.attempt) + ")");
         }
-        continue;
-      }
-      if (total > metric->value * (1.0 + 1e-9) + 1e-9) {
-        char msg[192];
-        std::snprintf(msg, sizeof(msg),
-                      "counter '%s' last live total %.6g exceeds the final "
-                      "registry value %.6g",
-                      name.c_str(), total, metric->value);
-        fail(msg);
       }
     }
+    prev = &now;
   }
-  return failures;
+  if (!final_metrics.has_value()) return;
+  // The exporter writes the final registry itself as the last line, so the
+  // two encodings must agree metric by metric.
+  const Json last = series.back().metrics.to_json();
+  const Json expected = final_metrics->to_json();
+  std::set<std::string> names;
+  for (const auto& [name, entry] : last.as_object()) names.insert(name);
+  for (const auto& [name, entry] : expected.as_object()) names.insert(name);
+  std::vector<std::string> differing;
+  for (const std::string& name : names) {
+    const Json* mine = last.find(name);
+    const Json* theirs = expected.find(name);
+    if (mine == nullptr || theirs == nullptr ||
+        mine->dump(0) != theirs->dump(0)) {
+      differing.push_back(name);
+    }
+  }
+  if (!differing.empty()) {
+    fail("last line differs from the --metrics registry in " +
+         std::to_string(differing.size()) + " metric(s), first '" +
+         differing.front() + "'");
+  }
 }
 
-// CI checks for a Prometheus text-exposition snapshot: every sample line
-// parses as `name[{labels}] value`, carries the scalparc_ prefix, and is
-// covered by a preceding # TYPE declaration.
-int validate_exposition(const std::string& path, std::ostream& out) {
-  int failures = 0;
-  const auto fail = [&](const std::string& what) {
-    out << "FAIL: exposition: " << what << "\n";
-    ++failures;
-  };
-  std::vector<std::string> lines;
-  try {
-    lines = read_lines(path);
-  } catch (const std::exception& e) {
-    fail(e.what());
-    return failures;
-  }
-  if (lines.empty()) {
-    fail("document is empty");
-    return failures;
-  }
-  std::set<std::string> declared;
-  std::size_t samples = 0;
-  std::size_t n = 0;
-  for (const std::string& line : lines) {
-    ++n;
-    const std::string where = " (line " + std::to_string(n) + ")";
-    if (line.rfind("# TYPE ", 0) == 0) {
-      std::istringstream in(line.substr(7));
-      std::string name, kind;
-      in >> name >> kind;
-      if (name.empty() ||
-          (kind != "counter" && kind != "gauge" && kind != "summary")) {
-        fail("malformed TYPE declaration" + where);
-        continue;
-      }
-      declared.insert(name);
-      continue;
-    }
-    if (line[0] == '#') continue;  // other comments are legal
-    // Sample line: name[{labels}] value
-    std::size_t name_end = line.find_first_of(" {");
-    if (name_end == std::string::npos) {
-      fail("malformed sample line" + where);
-      continue;
-    }
-    const std::string name = line.substr(0, name_end);
-    if (name.rfind("scalparc_", 0) != 0) {
-      fail("sample '" + name + "' lacks the scalparc_ prefix" + where);
-    }
-    std::size_t value_begin = name_end;
-    if (line[name_end] == '{') {
-      const std::size_t close = line.find('}', name_end);
-      if (close == std::string::npos) {
-        fail("unterminated label set" + where);
-        continue;
-      }
-      value_begin = close + 1;
-    }
-    const std::string value = line.substr(value_begin);
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || end == nullptr || *end != '\0') {
-      fail("sample value does not parse as a number" + where);
-    }
-    // A summary's _sum/_count samples are declared under the base name.
-    std::string base = name;
-    for (const char* suffix : {"_sum", "_count"}) {
-      const std::string s(suffix);
-      if (base.size() > s.size() &&
-          base.compare(base.size() - s.size(), s.size(), s) == 0 &&
-          declared.count(base.substr(0, base.size() - s.size()))) {
-        base = base.substr(0, base.size() - s.size());
-        break;
-      }
-    }
-    if (!declared.count(base)) {
-      fail("sample '" + name + "' has no preceding TYPE declaration" + where);
-    }
-    ++samples;
-  }
-  if (samples == 0) fail("document declares types but holds no samples");
-  return failures;
-}
+// ---------------------------------------------------------------------------
+// The flight recorder's dump.
+// ---------------------------------------------------------------------------
 
 // CI checks for a scalparc-flight-v1 dump: well-formed header and events,
 // nondecreasing timestamps, and event counts cross-checked against the
 // recovery.* / predict.swaps / health.* counters of the final registry.
-int validate_flight(
-    const std::vector<Json>& lines,
-    const std::optional<scalparc::mp::MetricsSnapshot>& final_metrics,
-    std::ostream& out) {
-  int failures = 0;
+void validate_flight(const std::vector<Json>& lines,
+                     const std::optional<MetricsSnapshot>& final_metrics,
+                     Failures& failures) {
   const auto fail = [&](const std::string& what) {
-    out << "FAIL: flight: " << what << "\n";
-    ++failures;
+    failures.add("flight", what);
   };
   if (lines.empty()) {
     fail("document is empty");
-    return failures;
+    return;
   }
   double dropped = 0.0;
   try {
     const Json& header = lines.front();
-    if (header.at("format").as_string() != "scalparc-flight-v1") {
-      fail("header has unexpected format tag");
-    }
+    require_format(header, "scalparc-flight-v1");
     if (header.at("capacity").as_double() < 1.0) {
       fail("header capacity must be >= 1");
     }
     dropped = header.at("dropped").as_double();
     if (dropped < 0.0) fail("header dropped count is negative");
-    const double announced = header.at("events").as_double();
-    if (announced != static_cast<double>(lines.size() - 1)) {
+    const std::int64_t announced = header.at("events").as_int();
+    if (announced != static_cast<std::int64_t>(lines.size() - 1)) {
       fail("header announces " + std::to_string(announced) +
            " event(s) but the document holds " +
            std::to_string(lines.size() - 1));
     }
   } catch (const std::exception& e) {
     fail(std::string("malformed header: ") + e.what());
-    return failures;
+    return;
   }
   double prev_t = -1.0;
   std::map<std::string, double> by_kind;
+  double recoveries = 0.0;  // non-terminal recovery events
   for (std::size_t i = 1; i < lines.size(); ++i) {
     try {
       const Json& event = lines[i];
       const double t_s = event.at("t_s").as_double();
       const std::string& kind = event.at("kind").as_string();
       (void)event.at("rank").as_int();
-      (void)event.at("detail").as_string();
+      const std::string& detail = event.at("detail").as_string();
       if (kind.empty()) fail("event " + std::to_string(i) + " has no kind");
       if (t_s < prev_t) {
         fail("event " + std::to_string(i) +
@@ -837,6 +742,9 @@ int validate_flight(
       }
       prev_t = t_s;
       by_kind[kind] += 1.0;
+      if (kind == "recovery" && detail.rfind("terminal:", 0) != 0) {
+        recoveries += 1.0;
+      }
     } catch (const std::exception& e) {
       fail("malformed event " + std::to_string(i) + ": " + e.what());
     }
@@ -869,35 +777,7 @@ int validate_flight(
     cross_check("straggler", "health.stragglers_detected",
                 by_kind["straggler"]);
     // Non-terminal recovery events pair 1:1 with survived failures.
-    double recoveries = 0.0;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      const Json& event = lines[i];
-      const Json* kind = event.find("kind");
-      const Json* detail = event.find("detail");
-      if (kind != nullptr && kind->is_string() &&
-          kind->as_string() == "recovery" && detail != nullptr &&
-          detail->is_string() &&
-          detail->as_string().rfind("terminal:", 0) != 0) {
-        recoveries += 1.0;
-      }
-    }
     cross_check("recovery", "recovery.recoveries", recoveries);
-  }
-  return failures;
-}
-
-std::optional<scalparc::mp::MetricsSnapshot> load_metrics_doc(
-    const std::string& path) {
-  if (path.empty()) return std::nullopt;
-  std::ifstream file(path);
-  if (!file) return std::nullopt;
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  try {
-    const Json doc = Json::parse(buffer.str());
-    return scalparc::mp::MetricsSnapshot::from_json(doc.at("metrics"));
-  } catch (const std::exception&) {
-    return std::nullopt;
   }
 }
 
@@ -907,69 +787,76 @@ int main(int argc, char** argv) {
   const scalparc::util::CliArgs args(argc, const_cast<const char* const*>(argv));
   const std::string metrics_path = args.get_string("metrics", "");
   const std::string timeseries_path = args.get_string("timeseries", "");
-  const std::string expose_path = args.get_string("expose", "");
   const std::string flight_path = args.get_string("flight", "");
   const int top_k = static_cast<int>(args.get_int("top", 5));
   const bool validate_mode = args.get_bool("validate", false);
 
-  // The trace positional is optional once any telemetry document is named:
+  // The trace positional is optional once any other document is named:
   // `--validate --timeseries F` checks just that document.
-  const bool has_docs = !metrics_path.empty() || !timeseries_path.empty() ||
-                        !expose_path.empty() || !flight_path.empty();
-  if (args.positional().empty() && !has_docs) {
+  if (args.positional().empty() && metrics_path.empty() &&
+      timeseries_path.empty() && flight_path.empty()) {
     std::cerr << "usage: scalparc-trace-report [TRACE.json] [--top K] "
                  "[--metrics FILE] [--critical-path] [--timeseries F] "
-                 "[--timeline] [--expose F] [--flight F] [--validate]\n";
+                 "[--timeline] [--flight F] [--validate]\n";
     return 2;
   }
 
-  try {
-    int failures = 0;
-    if (!args.positional().empty()) {
-      const std::string trace_path = args.positional().front();
+  // A document that cannot be read or decoded fails in any mode.
+  Failures failures;
+  const auto guarded = [&](std::string_view document, const auto& body) {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      failures.add(document, e.what());
+    }
+  };
+  if (!args.positional().empty()) {
+    guarded("trace", [&] {
+      const std::string& trace_path = args.positional().front();
       const Trace trace = load_trace(trace_path);
       std::cout << "trace: " << trace_path << "\n";
       print_report(trace, top_k, std::cout);
       if (args.get_bool("critical-path", false)) {
         print_critical_path(trace, std::cout);
       }
-      if (validate_mode) failures += validate(trace, metrics_path, std::cout);
-    }
-    if (!metrics_path.empty()) print_metrics(metrics_path, std::cout);
-    // The final registry (when given) anchors the cross-document checks.
-    const std::optional<scalparc::mp::MetricsSnapshot> final_metrics =
-        load_metrics_doc(metrics_path);
-    if (!timeseries_path.empty()) {
-      const std::vector<Json> epochs = load_jsonl(timeseries_path);
-      std::cout << "timeseries: " << timeseries_path << " (" << epochs.size()
-                << " epoch(s))\n";
-      if (args.get_bool("timeline", false)) print_timeline(epochs, std::cout);
-      if (validate_mode) {
-        failures += validate_timeseries(epochs, final_metrics, std::cout);
+      if (validate_mode) validate_trace(trace, failures);
+    });
+  }
+  // The final registry (when given) anchors the cross-document checks.
+  std::optional<MetricsSnapshot> final_metrics;
+  if (!metrics_path.empty()) {
+    guarded("metrics", [&] {
+      final_metrics = load_metrics(metrics_path);
+      print_metrics(*final_metrics, std::cout);
+      if (validate_mode && final_metrics->empty()) {
+        failures.add("metrics", "document holds no metrics");
       }
-    }
-    if (!expose_path.empty()) {
-      std::cout << "exposition: " << expose_path << "\n";
-      if (validate_mode) failures += validate_exposition(expose_path, std::cout);
-    }
-    if (!flight_path.empty()) {
-      const std::vector<Json> lines = load_jsonl(flight_path);
+    });
+  }
+  if (!timeseries_path.empty()) {
+    guarded("timeseries", [&] {
+      const std::vector<SeriesLine> series =
+          decode_series(read_jsonl(timeseries_path), failures);
+      std::cout << "timeseries: " << timeseries_path << " (" << series.size()
+                << " epoch(s))\n";
+      if (args.get_bool("timeline", false)) print_timeline(series, std::cout);
+      if (validate_mode) validate_series(series, final_metrics, failures);
+    });
+  }
+  if (!flight_path.empty()) {
+    guarded("flight", [&] {
+      const std::vector<Json> lines = read_jsonl(flight_path);
       std::cout << "flight: " << flight_path << " ("
                 << (lines.empty() ? 0 : lines.size() - 1) << " event(s))\n";
-      if (validate_mode) {
-        failures += validate_flight(lines, final_metrics, std::cout);
-      }
-    }
-    if (validate_mode) {
-      if (failures > 0) {
-        std::cout << "validation: " << failures << " failure(s)\n";
-        return 1;
-      }
+      if (validate_mode) validate_flight(lines, final_metrics, failures);
+    });
+  }
+  if (validate_mode) {
+    if (failures.count > 0) {
+      std::cout << "validation: " << failures.count << " failure(s)\n";
+    } else {
       std::cout << "validation: OK\n";
     }
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
   }
+  return failures.count > 0 ? 1 : 0;
 }

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +57,19 @@ double CliArgs::get_double(const std::string& name,
   const auto it = flags_.find(name);
   return it == flags_.end() ? default_value
                             : std::strtod(it->second.c_str(), nullptr);
+}
+
+std::string CliArgs::unwritable_output(
+    std::initializer_list<const char*> flags) const {
+  for (const char* flag : flags) {
+    const std::string path = get_string(flag, "");
+    if (path.empty()) continue;
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app)) return flag;
+    if (!existed) std::filesystem::remove(path, ec);
+  }
+  return "";
 }
 
 bool CliArgs::get_bool(const std::string& name, bool default_value) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,6 +29,13 @@ class CliArgs {
   std::vector<std::int64_t> get_int_list(
       const std::string& name,
       const std::vector<std::int64_t>& default_value) const;
+
+  // The first of the output `flags` set to a path this process cannot open
+  // for writing, or "" when every set one can; tools call it before any
+  // work. A path is opened in append mode, so an existing file keeps its
+  // bytes, and a file the check created is removed again.
+  std::string unwritable_output(
+      std::initializer_list<const char*> flags) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "tools/cli_app.hpp"
+#include "util/trace.hpp"
 
 namespace scalparc {
 namespace {
@@ -144,6 +145,79 @@ TEST(Cli, MissingInputFileIsReportedNotCrash) {
                           "--model", temp_path("never.tree")});
   EXPECT_EQ(result.code, 1);
   EXPECT_NE(result.err.find("error:"), std::string::npos);
+}
+
+// Every train output is checked before the data is read: a path in a
+// directory that does not exist (unwritable even for root) exits 2 naming
+// its flag and no fit runs. The data file does not exist either, which
+// would exit 1 if it were read first.
+class TrainOutputs : public CliWorkflow {
+ protected:
+  static constexpr const char* kFlags[] = {"--model", "--trace-out",
+                                           "--metrics-out", "--telemetry-out",
+                                           "--flight-out"};
+
+  std::vector<std::string> train_argv(const std::string& bad_flag,
+                                      const std::string& bad_path) {
+    std::vector<std::string> argv = {"train", "--data",
+                                     temp_path("cli_outputs_missing.csv")};
+    for (const std::string flag : kFlags) {
+      const std::string path =
+          flag == bad_flag ? bad_path
+                           : track(temp_path("cli_outputs" + flag.substr(1)));
+      argv.insert(argv.end(), {flag, path});
+    }
+    return argv;
+  }
+
+  void expect_refused(const std::string& flag) {
+    const std::string bad = temp_path("no_such_dir") + "/out";
+    const CliResult result = run(train_argv(flag, bad));
+    EXPECT_EQ(result.code, 2) << result.err;
+    EXPECT_NE(result.err.find("cannot write " + flag + " '" + bad + "'"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("trained on"), std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(temp_path("cli_outputs-model")));
+  }
+};
+
+TEST_F(TrainOutputs, UnwritableModelExitsTwoBeforeTheFit) {
+  expect_refused("--model");
+}
+
+TEST_F(TrainOutputs, UnwritableTraceOutExitsTwoBeforeTheFit) {
+  expect_refused("--trace-out");
+}
+
+TEST_F(TrainOutputs, UnwritableMetricsOutExitsTwoBeforeTheFit) {
+  expect_refused("--metrics-out");
+}
+
+TEST_F(TrainOutputs, UnwritableTelemetryOutExitsTwoBeforeTheFit) {
+  expect_refused("--telemetry-out");
+}
+
+TEST_F(TrainOutputs, UnwritableFlightOutExitsTwoBeforeTheFit) {
+  expect_refused("--flight-out");
+}
+
+// The check opens nothing for truncation: when every output already exists
+// and the run then fails on its data, each file keeps its bytes.
+TEST_F(TrainOutputs, CheckLeavesExistingOutputsAlone) {
+  if (!util::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const std::vector<std::string> argv = train_argv("", "");
+  for (std::size_t i = 4; i < argv.size(); i += 2) {
+    std::ofstream(argv[i]) << "kept";
+  }
+  const CliResult result = run(argv);
+  EXPECT_EQ(result.code, 1) << result.err;
+  for (std::size_t i = 4; i < argv.size(); i += 2) {
+    std::ifstream in(argv[i]);
+    std::string content;
+    std::getline(in, content);
+    EXPECT_EQ(content, "kept") << argv[i - 1];
+  }
 }
 
 TEST_F(CliWorkflow, ShrinkRecoveryPolicyContinuesWithSurvivors) {

@@ -1,11 +1,12 @@
 // The continuous-telemetry layer: histogram quantiles and their JSON summary
-// fields, the live registry's latest-per-source algebra, rolling-window
-// quantiles and SLO burn accounting, the flight-recorder ring, Prometheus
-// text exposition, the background exporter's epoch/delta discipline, the
-// registry edge paths (kind-mismatch merges, disjoint-bucket folds, sinks
-// outside rank threads, sampled trace dumps), the JSON structured-log knob,
-// and the differential guarantee that a telemetered scoring loop stays
-// within 5% of the untelemetered one.
+// fields, the live registry's latest-per-source algebra and attempt
+// numbering, rolling-window quantiles and SLO burn accounting, the
+// flight-recorder ring, the background exporter's scalparc-timeseries-v2
+// lines (ending in the final registry), the registry edge paths
+// (kind-mismatch merges, disjoint-bucket folds, sinks outside rank threads,
+// sampled trace dumps), the JSON structured-log knob, and the differential
+// guarantee that a telemetered scoring loop stays within 5% of the
+// untelemetered one.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +15,6 @@
 #include <fstream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -69,8 +69,8 @@ std::vector<Json> read_jsonl(const std::string& path) {
 class TelemetryTest : public ::testing::Test {
  protected:
   void TearDown() override {
+    telemetry::reset_live_metrics();  // clears only while enabled
     telemetry::set_live_metrics_enabled(false);
-    telemetry::reset_live_metrics();
     telemetry::set_flight_capacity(0);
     telemetry::arm_flight_dump("");
   }
@@ -194,12 +194,15 @@ TEST_F(TelemetryTest, PublishIsLatestWinsPerSourceAndMergesAcrossSources) {
   r1.gauge_max("peak", 7.0);
   telemetry::publish_metrics("rank1", r1);
 
-  const MetricsSnapshot merged = telemetry::merged_live_metrics();
-  EXPECT_EQ(merged.value("work"), 13.0);  // latest rank0 (10) + rank1 (3)
-  EXPECT_EQ(merged.value("peak"), 7.0);
+  const telemetry::LiveMetrics live = telemetry::merged_live_metrics();
+  EXPECT_EQ(live.merged.value("work"), 13.0);  // latest rank0 (10) + rank1 (3)
+  EXPECT_EQ(live.merged.value("peak"), 7.0);
 
+  // A reset drops every source and starts the next attempt.
   telemetry::reset_live_metrics();
-  EXPECT_TRUE(telemetry::merged_live_metrics().empty());
+  const telemetry::LiveMetrics next = telemetry::merged_live_metrics();
+  EXPECT_TRUE(next.merged.empty());
+  EXPECT_EQ(next.attempt, live.attempt + 1);
 }
 
 TEST_F(TelemetryTest, PublishIsIgnoredWhileDisabled) {
@@ -207,7 +210,11 @@ TEST_F(TelemetryTest, PublishIsIgnoredWhileDisabled) {
   MetricsSnapshot snapshot;
   snapshot.add("work", 1.0);
   telemetry::publish_metrics("rank0", snapshot);
-  EXPECT_TRUE(telemetry::merged_live_metrics().empty());
+  EXPECT_TRUE(telemetry::merged_live_metrics().merged.empty());
+  // So is a reset: a fit without telemetry starts no attempt.
+  const int attempt = telemetry::merged_live_metrics().attempt;
+  telemetry::reset_live_metrics();
+  EXPECT_EQ(telemetry::merged_live_metrics().attempt, attempt);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,93 +317,50 @@ TEST_F(TelemetryTest, DumpWritesFlightV1) {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus text exposition
-// ---------------------------------------------------------------------------
-
-TEST(Exposition, NameSanitization) {
-  EXPECT_EQ(telemetry::exposition_name("comm.bytes_sent"),
-            "scalparc_comm_bytes_sent");
-  EXPECT_EQ(telemetry::exposition_name("a-b c"), "scalparc_a_b_c");
-}
-
-TEST(Exposition, RendersAllThreeKinds) {
-  MetricsSnapshot snapshot;
-  snapshot.add("comm.bytes_sent", 42.0);
-  snapshot.gauge_max("induction.levels", 5.0);
-  for (std::uint64_t v = 1; v <= 100; ++v) snapshot.observe("predict.depth", v);
-  const std::string text = telemetry::render_exposition(snapshot);
-  EXPECT_NE(text.find("# TYPE scalparc_comm_bytes_sent counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("scalparc_comm_bytes_sent 42"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE scalparc_induction_levels gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE scalparc_predict_depth summary"),
-            std::string::npos);
-  EXPECT_NE(text.find("scalparc_predict_depth{quantile=\"0.99\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("scalparc_predict_depth_count 100"), std::string::npos);
-  EXPECT_NE(text.find("scalparc_predict_depth_sum 5050"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryExporter epochs and deltas
+// TelemetryExporter lines
 // ---------------------------------------------------------------------------
 
 TEST_F(TelemetryTest, ExporterEmitsConsistentEpochDeltas) {
   const std::string series_path = temp_path("series");
-  const std::string expose_path = temp_path("expose");
+  MetricsSnapshot snapshot;
   {
     telemetry::TelemetryOptions options;
     options.timeseries_path = series_path;
-    options.expose_path = expose_path;
     options.interval_ms = 20;
     telemetry::TelemetryExporter exporter(options);
-    MetricsSnapshot snapshot;
     for (int step = 1; step <= 5; ++step) {
       snapshot.add("work.steps", 1.0);
       snapshot.observe("work.latency_us", 100u * step);
       telemetry::publish_metrics("rank0", snapshot);
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
-    exporter.stop();
+    snapshot.gauge_max("work.end_of_run", 1.0);  // never published live
+    exporter.stop(snapshot);
     EXPECT_GE(exporter.epochs(), 2);
   }
 
-  const std::vector<Json> epochs = read_jsonl(series_path);
-  ASSERT_GE(epochs.size(), 2u);
+  const std::vector<Json> lines = read_jsonl(series_path);
+  ASSERT_GE(lines.size(), 2u);
   std::int64_t prev_epoch = -1;
   double prev_total = 0.0;
   double delta_sum = 0.0;
-  for (const Json& record : epochs) {
-    EXPECT_EQ(record.at("format").as_string(), "scalparc-timeseries-v1");
-    EXPECT_GT(record.at("epoch").as_int(), prev_epoch);
-    prev_epoch = record.at("epoch").as_int();
-    const Json* counter = record.at("counters").find("work.steps");
-    if (counter == nullptr) continue;  // epoch sampled before first publish
-    const double total = counter->at("total").as_double();
-    const double delta = counter->at("delta").as_double();
+  for (const Json& line : lines) {
+    EXPECT_EQ(line.at("format").as_string(), "scalparc-timeseries-v2");
+    EXPECT_EQ(line.at("attempt").as_int(), 0);
+    EXPECT_GT(line.at("epoch").as_int(), prev_epoch);
+    prev_epoch = line.at("epoch").as_int();
+    const MetricsSnapshot metrics =
+        MetricsSnapshot::from_json(line.at("metrics"));
+    const double total = metrics.value("work.steps");
     EXPECT_GE(total, prev_total) << "counter total went backwards";
-    EXPECT_DOUBLE_EQ(delta, total - prev_total);
+    delta_sum += total - prev_total;
     prev_total = total;
-    delta_sum += delta;
-    const Json* hist = record.at("histograms").find("work.latency_us");
-    if (hist != nullptr) {
-      EXPECT_LE(hist->at("p50").as_double(), hist->at("p99").as_double());
-    }
   }
-  // The deltas telescope to the final total: nothing double-counted.
-  EXPECT_DOUBLE_EQ(delta_sum, prev_total);
-  EXPECT_DOUBLE_EQ(prev_total, 5.0);
-
-  // The exposition snapshot reflects the final epoch atomically.
-  std::ifstream expose(expose_path);
-  ASSERT_TRUE(expose.good());
-  std::stringstream buffer;
-  buffer << expose.rdbuf();
-  EXPECT_NE(buffer.str().find("scalparc_work_steps 5"), std::string::npos);
-
+  // Readers subtract consecutive lines; the differences telescope to the
+  // final total, and the last line is the registry stop() was handed.
+  EXPECT_DOUBLE_EQ(delta_sum, 5.0);
+  EXPECT_EQ(lines.back().at("metrics").dump(0), snapshot.to_json().dump(0));
   std::filesystem::remove(series_path);
-  std::filesystem::remove(expose_path);
 }
 
 TEST_F(TelemetryTest, ExporterEpochHookInjectsMetrics) {
@@ -410,12 +374,46 @@ TEST_F(TelemetryTest, ExporterEpochHookInjectsMetrics) {
       merged.add("hook.calls", 1.0);
     };
     telemetry::TelemetryExporter exporter(options);
-    exporter.stop();
+    exporter.stop(MetricsSnapshot{});
   }
-  const std::vector<Json> epochs = read_jsonl(series_path);
-  ASSERT_GE(epochs.size(), 1u);
-  EXPECT_NE(epochs.back().at("counters").find("hook.calls"), nullptr);
+  const std::vector<Json> lines = read_jsonl(series_path);
+  ASSERT_GE(lines.size(), 1u);
+  EXPECT_NE(lines.back().at("metrics").find("hook.calls"), nullptr);
   std::filesystem::remove(series_path);
+}
+
+TEST_F(TelemetryTest, FinalLineNamesTheCurrentAttempt) {
+  const std::string series_path = temp_path("attempts");
+  MetricsSnapshot final_registry;
+  final_registry.add("work.steps", 2.0);
+  {
+    telemetry::TelemetryOptions options;
+    options.timeseries_path = series_path;
+    options.interval_ms = 1000;  // only the final stop() epoch fires
+    telemetry::TelemetryExporter exporter(options);
+    MetricsSnapshot dead_attempt;
+    dead_attempt.add("work.steps", 7.0);
+    telemetry::publish_metrics("rank3", dead_attempt);
+    telemetry::reset_live_metrics();  // what a recovered fit does per retry
+    EXPECT_TRUE(telemetry::merged_live_metrics().merged.empty());
+    exporter.stop(final_registry);
+  }
+  const std::vector<Json> lines = read_jsonl(series_path);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].at("attempt").as_int(), 1);
+  EXPECT_EQ(lines[0].at("metrics").dump(0), final_registry.to_json().dump(0));
+  // stop() leaves the registry empty and off.
+  EXPECT_FALSE(telemetry::live_metrics_enabled());
+  EXPECT_TRUE(telemetry::merged_live_metrics().merged.empty());
+  std::filesystem::remove(series_path);
+}
+
+TEST_F(TelemetryTest, ExporterThrowsWhenTheSeriesCannotBeOpened) {
+  telemetry::TelemetryOptions options;
+  options.timeseries_path = temp_path("no_such_dir") + "/series.jsonl";
+  EXPECT_THROW(telemetry::TelemetryExporter exporter(options),
+               std::runtime_error);
+  EXPECT_FALSE(telemetry::live_metrics_enabled());
 }
 
 // ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ TEST_F(TelemetryTest, TelemetryKeepsScoringWithinBudget) {
       best = std::min(best, elapsed.count());
     }
     if (exporter != nullptr) {
-      exporter->stop();
+      exporter->stop(local);
       std::filesystem::remove(series_path);
     }
     return std::pair<double, std::uint64_t>(best, checksum);
